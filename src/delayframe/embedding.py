@@ -126,7 +126,8 @@ def split_shift(embedding: HankelEmbedding):
 
     The two halves cover the same window shifted by one sample; the second
     half's time origin advances by ``dt``. Centering metadata is inherited,
-    with the stored center row trimmed to match.
+    with the stored center row trimmed to match. The halves' matrices and
+    center rows are read-only column views of the parent, not copies.
     """
     if not isinstance(embedding, HankelEmbedding):
         raise ParameterError(
@@ -138,19 +139,24 @@ def split_shift(embedding: HankelEmbedding):
         )
     center = embedding.center_row
     first = HankelEmbedding(
-        matrix=embedding.matrix[:, :-1].copy(),
+        matrix=_read_only(embedding.matrix[:, :-1]),
         delays=embedding.delays,
         dt=embedding.dt,
         t0=embedding.t0,
         centered=embedding.centered,
-        center_row=None if center is None else center[:-1].copy(),
+        center_row=None if center is None else _read_only(center[:-1]),
     )
     second = HankelEmbedding(
-        matrix=embedding.matrix[:, 1:].copy(),
+        matrix=_read_only(embedding.matrix[:, 1:]),
         delays=embedding.delays,
         dt=embedding.dt,
         t0=embedding.t0 + embedding.dt,
         centered=embedding.centered,
-        center_row=None if center is None else center[1:].copy(),
+        center_row=None if center is None else _read_only(center[1:]),
     )
     return first, second
+
+
+def _read_only(view):
+    view.flags.writeable = False
+    return view

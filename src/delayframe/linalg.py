@@ -4,6 +4,16 @@ Thin wrappers around LAPACK (via numpy) plus a modified Gram-Schmidt that
 reports dropped directions. All routines validate their inputs and raise
 errors from the shared taxonomy instead of letting numpy exceptions leak
 to callers.
+
+``thin_svd`` needs only a few leading triplets of a matrix that is much
+wider than it is tall (or the transpose), so it works on the short side:
+it forms the Gram matrix ``a @ a.T``, takes its eigenvectors with
+``eigh``, and refines them with one Rayleigh-Ritz pass on ``a`` itself.
+Squaring the matrix squares its condition number, so that route is taken
+only when the rank-th Gram eigenvalue exceeds ``1e-12`` times the largest
+one (sigma_rank / sigma_1 above about 1e-6). Below that floor the full
+dense SVD runs instead, so results near the numerical rank limit are
+exactly those of LAPACK's SVD.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ __all__ = [
     "eigen_nonsymmetric",
     "gram_schmidt",
 ]
+
+# Smallest Gram eigenvalue ratio w_rank / w_1, i.e. (sigma_rank / sigma_1)^2,
+# that thin_svd factorizes through the Gram matrix; below it the dense SVD runs.
+_GRAM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,17 @@ def as_matrix(a, name="matrix"):
 def thin_svd(a, rank: int) -> SvdTriple:
     """Rank-truncated SVD with a deterministic sign convention.
 
+    The factors come from the short side's Gram matrix: with ``h`` the
+    wide orientation of ``a`` (``a`` itself, or ``a.T`` when ``a`` is
+    tall), ``eigh(h @ h.T)`` gives the leading left basis ``q``, then
+    ``y = qr(h.T @ q)`` is an orthonormal trial basis for the right
+    vectors and the SVD of the small matrix ``h @ y`` gives the singular
+    values and rotates both bases (one Rayleigh-Ritz pass). Its singular
+    values never exceed those of ``a``. When the rank-th Gram eigenvalue
+    is at most ``1e-12`` times the largest, the squared spectrum cannot
+    resolve the trailing pairs, and the dense ``np.linalg.svd`` of ``a``
+    is used instead.
+
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
     the subspaces, so repeated runs agree entry for entry.
@@ -81,19 +106,45 @@ def thin_svd(a, rank: int) -> SvdTriple:
         raise ParameterError(
             f"rank must be in [1, {kmax}] for shape {a.shape}, got {rank}"
         )
+    tall = a.shape[0] > a.shape[1]
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        ritz = _gram_ritz_svd(a.T if tall else a, rank)
+        if ritz is None:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            u = u[:, :rank].copy()
+            s = s[:rank].copy()
+            vt = vt[:rank].copy()
+        else:
+            u, s, right = ritz[::-1] if tall else ritz
+            vt = right.T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    u = u[:, :rank].copy()
-    s = s[:rank].copy()
-    vt = vt[:rank].copy()
     for j in range(rank):
         k = int(np.argmax(np.abs(u[:, j])))
         if u[k, j] < 0.0:
             u[:, j] = -u[:, j]
             vt[j] = -vt[j]
     return SvdTriple(u=u, sigma=s, v=vt.T.copy(), rank=int(rank))
+
+
+def _gram_ritz_svd(h, rank):
+    """Leading ``(u, sigma, v)`` of a wide ``h`` via its Gram matrix.
+
+    Returns None when the rank-th Gram eigenvalue is at or below
+    ``_GRAM_FLOOR`` times the largest, where the squared spectrum has
+    lost the trailing singular values to rounding, or when squaring
+    overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = h @ h.T
+    if not np.all(np.isfinite(gram)):
+        return None
+    w, q = np.linalg.eigh(gram)
+    if not w[-rank] > _GRAM_FLOOR * w[-1]:
+        return None
+    y, _ = np.linalg.qr(h.T @ q[:, ::-1][:, :rank])
+    u, s, wt = np.linalg.svd(h @ y, full_matrices=False)
+    return u, s, y @ wt.T
 
 
 def pseudo_inverse(a, rel_tol: float = 1e-12) -> np.ndarray:

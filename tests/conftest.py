@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from delayframe import models, systems
+from delayframe.linalg import SvdTriple
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,20 @@ def two_tone_models(two_tone):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture(scope="session")
+def dense_svd():
+    """Reference factorization: LAPACK's full SVD, truncated to ``rank``,
+    with thin_svd's sign convention (largest left entry positive)."""
+
+    def factor(a, rank):
+        u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+        u, s, v = u[:, :rank].copy(), s[:rank].copy(), vt[:rank].T.copy()
+        for j in range(rank):
+            if u[np.argmax(np.abs(u[:, j])), j] < 0.0:
+                u[:, j] = -u[:, j]
+                v[:, j] = -v[:, j]
+        return SvdTriple(u=u, sigma=s, v=v, rank=rank)
+
+    return factor

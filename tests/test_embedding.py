@@ -112,6 +112,10 @@ def test_split_shift_columns():
     first, second = split_shift(emb)
     np.testing.assert_array_equal(first.matrix, emb.matrix[:, :-1])
     np.testing.assert_array_equal(second.matrix, emb.matrix[:, 1:])
+    for half in (first, second):
+        assert np.shares_memory(half.matrix, emb.matrix)
+        assert not half.matrix.flags.writeable
+    assert emb.matrix.flags.writeable
     assert first.t0 == 2.0
     assert second.t0 == 2.25
 

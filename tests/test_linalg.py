@@ -59,6 +59,68 @@ def test_thin_svd_rank_validation(rng):
         thin_svd(a, 0)
 
 
+def _graded_matrix(rng, shape, sigma):
+    """A matrix with prescribed singular values and random orthonormal bases."""
+    left, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))
+    right, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))
+    return (left * sigma) @ right.T
+
+
+# sigma_k / sigma_1 from 1 down to 1e-11, stepping over the 1e-6 Gram floor.
+_GRADED = 10.0 ** -np.array([0, 1, 2, 3, 4, 5, 5.5, 6.5, 8, 9.5, 11])
+# sigma_2 and sigma_3 agree to 1e-9 relative: their vectors are not unique.
+_NEAR_PAIR = np.array([1.0, 0.5, 0.5 * (1.0 + 1e-9), 0.1, 1e-3])
+
+
+@pytest.mark.parametrize("shape", [(40, 900), (900, 40)])
+@pytest.mark.parametrize("sigma", [_GRADED, _NEAR_PAIR], ids=["graded", "near-pair"])
+def test_thin_svd_matches_dense_svd(rng, dense_svd, shape, sigma):
+    a = _graded_matrix(rng, shape, sigma)
+    full = np.linalg.svd(a, compute_uv=False)
+    gaps = np.minimum(-np.diff(full, prepend=np.inf), -np.diff(full, append=0.0))
+    for rank in range(1, len(sigma) + 1):
+        svd = thin_svd(a, rank)
+        ref = dense_svd(a, rank)
+        np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
+                                   atol=1e-12 * ref.sigma[0])
+        if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
+            # Below the Gram floor thin_svd is the dense SVD, bit for bit.
+            np.testing.assert_array_equal(svd.u, ref.u)
+            np.testing.assert_array_equal(svd.sigma, ref.sigma)
+            np.testing.assert_array_equal(svd.v, ref.v)
+            continue
+        for j in range(rank):
+            if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
+                continue
+            for got, want in ((svd.u[:, j], ref.u[:, j]), (svd.v[:, j], ref.v[:, j])):
+                err = min(np.abs(got - want).max(), np.abs(got + want).max())
+                assert err < 1e-8, (rank, j, err)
+
+
+def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
+    # Above the floor the only SVD taken is of the small delays x rank
+    # projection, never of the full matrix.
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    thin_svd(_graded_matrix(rng, (30, 500), _GRADED[:4]), 3)
+    thin_svd(_graded_matrix(rng, (500, 30), _GRADED[:4]), 3)
+    assert shapes == [(30, 3), (30, 3)]
+
+
+def test_thin_svd_falls_back_when_gram_overflows(dense_svd):
+    a = np.array([[1e200, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    svd = thin_svd(a, 2)
+    ref = dense_svd(a, 2)
+    np.testing.assert_array_equal(svd.sigma, ref.sigma)
+    np.testing.assert_array_equal(svd.u, ref.u)
+
+
 def test_pseudo_inverse_moore_penrose(rng):
     a = rng.standard_normal((5, 8))
     p = pseudo_inverse(a)

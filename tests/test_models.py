@@ -133,6 +133,30 @@ def test_rank_guard_uses_state_dimension(two_tone):
         fit(two_tone, FitConfig(delays=41, rank=6, forcing=True))
 
 
+def _tone_with_faint_overtone(amplitude):
+    dt = 0.01
+    t = dt * np.arange(3000)
+    return TimeSeries(t0=0.0, dt=dt, values=np.sin(t) + amplitude * np.sin(2.0 * t))
+
+
+@pytest.mark.parametrize("method", ["havok", "shavok"])
+def test_rank_guard_between_gram_floor_and_rank_tolerance(method, dense_svd,
+                                                          monkeypatch):
+    # An overtone at 1e-4 puts sigma_4 / sigma_1 near 7e-8: above the 1e-12
+    # rank tolerance, below the 1e-6 where thin_svd would use the Gram
+    # route. It must fit exactly as the dense SVD fits it.
+    cfg = FitConfig(delays=41, rank=4, forcing=False, method=method)
+    x = _tone_with_faint_overtone(1e-4)
+    m = fit(x, cfg)
+    ratio = m.basis.sigma[3] / m.basis.sigma[0]
+    assert 1e-12 < ratio < 1e-6
+    monkeypatch.setattr(models, "thin_svd", dense_svd)
+    np.testing.assert_array_equal(m.a_continuous, fit(x, cfg).a_continuous)
+    # At 1e-10 the ratio falls to about 7e-14, under the rank tolerance.
+    with pytest.raises(DegenerateRankError, match="sigma_4"):
+        fit(_tone_with_faint_overtone(1e-10), cfg)
+
+
 def test_constant_signal_rejected():
     x = TimeSeries(t0=0.0, dt=0.1, values=np.zeros(100))
     with pytest.raises(DegenerateRankError, match="no variation"):
