@@ -79,6 +79,8 @@ def load_series_csv(path: str) -> TimeSeries:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     if not rows or [c.strip().lower() for c in rows[0].split(",")] != ["time", "value"]:
         raise DataError(f"{path}: expected a 'time,value' header")
@@ -225,13 +227,13 @@ def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
         "# config: " + json.dumps(echo, sort_keys=True),
         ",".join(header),
     ]
-    t0, dt = model.t0, model.dt
-    for k in range(v.shape[0]):
-        cells = [repr(t0 + k * dt)] + [repr(float(x)) for x in v[k]]
-        if forced:
-            cells.append(repr(float(forcing[k])))
-        cells.append(repr(float(rollout[k, 0])))
-        lines.append(",".join(cells))
+    n = v.shape[0]
+    columns = [model.t0 + np.arange(n) * model.dt, v]
+    if forced:
+        columns.append(forcing)
+    columns.append(rollout[:, 0])
+    rows = np.column_stack(columns).tolist()
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -254,8 +256,28 @@ def _prepared_series(cfg: PipelineConfig):
     return series, obs
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Fit per config and build every artifact; returns {filename: text}."""
+_ARTIFACTS = {
+    "model.json": lambda model, echo: _dump_json(_model_payload(model, echo)),
+    "spectrum.json": lambda model, echo: _dump_json(_spectrum_payload(model, echo)),
+    "report.json": lambda model, echo: _dump_json(_report_payload(model, echo)),
+    "plotdata.csv": _plotdata_csv,
+}
+
+# The artifacts each fitting command writes; only these are built.
+_COMMAND_ARTIFACTS = {
+    "fit": tuple(_ARTIFACTS),
+    "spectrum": ("spectrum.json",),
+    "diagnose": ("report.json",),
+}
+
+
+def run_pipeline(cfg: PipelineConfig, names=tuple(_ARTIFACTS)) -> dict:
+    """Fit per config once and build the named artifacts.
+
+    Returns {filename: text} in the order of ``names``; the default builds
+    all four (``model.json``, ``spectrum.json``, ``report.json`` and
+    ``plotdata.csv``).
+    """
     series, obs = _prepared_series(cfg)
     try:
         model = models.fit(series, cfg.fit)
@@ -264,12 +286,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     echo = _config_echo(cfg, model.dt)
     if obs is not None:
         echo["observable"] = obs
-    return {
-        "model.json": _dump_json(_model_payload(model, echo)),
-        "spectrum.json": _dump_json(_spectrum_payload(model, echo)),
-        "report.json": _dump_json(_report_payload(model, echo)),
-        "plotdata.csv": _plotdata_csv(model, echo),
-    }
+    return {name: _ARTIFACTS[name](model, echo) for name in names}
 
 
 def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
@@ -599,10 +616,15 @@ def _build_parser():
 
 
 def _write_artifacts(out_dir: str, artifacts: dict):
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in artifacts.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in artifacts.items():
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot write to --out-dir {out_dir}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -636,13 +658,10 @@ def _run(args) -> int:
         series = systems.measure(systems.simulate(spec), obs)
         _write_artifacts(args.out_dir, {"series.csv": format_series_csv(series)})
         return 0
-    if args.command in ("fit", "spectrum", "diagnose"):
-        cfg = _pipeline_config(args)
-        artifacts = run_pipeline(cfg)
-        if args.command == "spectrum":
-            artifacts = {"spectrum.json": artifacts["spectrum.json"]}
-        elif args.command == "diagnose":
-            artifacts = {"report.json": artifacts["report.json"]}
+    if args.command in _COMMAND_ARTIFACTS:
+        artifacts = run_pipeline(
+            _pipeline_config(args), _COMMAND_ARTIFACTS[args.command]
+        )
         _write_artifacts(args.out_dir, artifacts)
         return 0
     if args.command == "sweep":

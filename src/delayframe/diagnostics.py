@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ParameterError
 from .linalg import Spectrum, as_matrix
@@ -97,6 +96,8 @@ def spectrum_distance(a: Spectrum, b: Spectrum) -> SpectrumComparison:
             f"spectra have different sizes {wa.shape[0]} and {wb.shape[0]}; "
             "truncate to a common rank first"
         )
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(wa[:, None] - wb[None, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = cost[rows, cols]

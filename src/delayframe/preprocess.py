@@ -11,12 +11,15 @@ by default after resampling).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .embedding import TimeSeries
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = ["SplineModel", "spline_fit", "resample", "trim_series"]
 
@@ -59,6 +62,8 @@ def spline_fit(x: TimeSeries) -> SplineModel:
         raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
     if len(x) < 4:
         raise ParameterError(f"spline_fit needs at least 4 samples, got {len(x)}")
+    from scipy.interpolate import CubicSpline
+
     knots = x.times
     cs = CubicSpline(knots, x.values, bc_type="natural")
     return SplineModel(

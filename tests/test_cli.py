@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import delayframe
+from delayframe import models
 from delayframe.cli import format_series_csv, load_series_csv, main
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DataError
@@ -156,6 +161,82 @@ def test_spectrum_and_diagnose_write_subsets(tmp_path):
     assert main(["diagnose"] + base + ["--out-dir", str(d_dir)]) == 0
     assert {p.name for p in s_dir.iterdir()} == {"spectrum.json"}
     assert {p.name for p in d_dir.iterdir()} == {"report.json"}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("spectrum", "spectrum.json"),
+    ("diagnose", "report.json"),
+])
+def test_single_artifact_commands_match_fit(tmp_path, command, name):
+    base = ["--input", "two_tone", "--delays", "41", "--rank", "4",
+            "--no-forcing"]
+    fit_dir, one_dir = tmp_path / "fit", tmp_path / "one"
+    assert main(["fit"] + base + ["--out-dir", str(fit_dir)]) == 0
+    assert main([command] + base + ["--out-dir", str(one_dir)]) == 0
+    assert [p.name for p in one_dir.iterdir()] == [name]
+    assert (one_dir / name).read_bytes() == (fit_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("rank, forcing", [(4, False), (5, True)])
+def test_plotdata_rows_match_per_cell_repr(tmp_path, two_tone, rank, forcing):
+    args = ["fit", "--input", "two_tone", "--delays", "41", "--rank",
+            str(rank), "--out-dir", str(tmp_path)]
+    if not forcing:
+        args.append("--no-forcing")
+    assert main(args) == 0
+    rows = (tmp_path / "plotdata.csv").read_text().splitlines()[2:]
+    # Reference: the row format written one cell at a time.
+    model = models.fit(two_tone, models.FitConfig(
+        delays=41, rank=rank, forcing=forcing))
+    v = model.basis.v
+    f = models.forcing_signal(model).values if forcing else None
+    rollout = models.reconstruct(model, v[0, :model.state_dim], v.shape[0],
+                                 f)
+    expected = []
+    for k in range(v.shape[0]):
+        cells = [repr(model.t0 + k * model.dt)]
+        cells += [repr(float(x)) for x in v[k]]
+        if forcing:
+            cells.append(repr(float(f[k])))
+        cells.append(repr(float(rollout[k, 0])))
+        expected.append(",".join(cells))
+    assert rows == expected
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, under):
+    blocker = _write(tmp_path / "file", "not a directory\n")
+    out = os.path.join(blocker, "sub") if under else blocker
+    code = main(["simulate", "--input", "two_tone", "--out-dir", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and blocker in err
+    assert "Traceback" not in err
+
+
+def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"time,value\n0.0,1.0\n0.1,\xff\xfe\n0.2,3.0\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_series_csv(str(path))
+    out = tmp_path / "o"
+    code = main(["diagnose", "--input", str(path), "--delays", "11",
+                 "--rank", "3", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(delayframe.__file__)))
+    probe = ("import sys, delayframe.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_exit_codes(tmp_path, capsys):
