@@ -35,13 +35,11 @@ from .errors import (
 from .models import (
     DelayModel,
     FitConfig,
-    ReducedBasis,
     fit,
     fit_havok,
     fit_shavok,
     forcing_signal,
     log_mapped_spectrum,
-    model_spectrum,
     reconstruct,
 )
 
@@ -57,7 +55,6 @@ __all__ = [
     "HankelEmbedding",
     "NumericalError",
     "ParameterError",
-    "ReducedBasis",
     "TimeSeries",
     "build_hankel",
     "center_hankel",
@@ -66,7 +63,6 @@ __all__ = [
     "fit_shavok",
     "forcing_signal",
     "log_mapped_spectrum",
-    "model_spectrum",
     "reconstruct",
     "split_shift",
     "__version__",

@@ -15,33 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, models, preprocess, systems
-from .embedding import TimeSeries, build_hankel, center_hankel
+from .embedding import TimeSeries
 from .errors import DataError, DelayFrameError, NumericalError, ParameterError
-from .geometry import curvatures_from_model, derivative_stack, analytic_curvatures_gram
+from .geometry import curvatures_from_model
+from .scenarios import SCENARIOS, run_sweep
 
-__all__ = ["PipelineConfig", "run_pipeline", "run_sweep", "run_scenario", "main"]
-
-_SCENARIOS = (
-    "curvature",
-    "structure-sweep",
-    "interpolation",
-    "short-spectra",
-    "stability",
-    "derivative-ratio",
-)
-
-# Calibrated fit configurations for the short-vs-long spectrum scenario.
-_SPECTRA_CONFIGS = {
-    "lorenz": ("lorenz_short", "lorenz_long", 101, 5, True),
-    "rossler": ("rossler_short", "rossler_long", 51, 6, False),
-    "double_pendulum": ("pendulum_short", "pendulum_long", 401, 4, True),
-}
+__all__ = ["PipelineConfig", "run_pipeline", "main"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +40,6 @@ class PipelineConfig:
     fit: models.FitConfig
     dt_resample: float | None
     trim: bool
-    out_dir: str
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +83,8 @@ def load_series_csv(path: str) -> TimeSeries:
             values[i] = float(cells[1])
         except ValueError as exc:
             raise DataError(f"{path}: row {i + 2} is not numeric: {row!r}") from exc
+    if not np.all(np.isfinite(times)):
+        raise DataError(f"{path}: time column has non-finite entries")
     diffs = np.diff(times)
     if np.any(diffs <= 0.0):
         raise DataError(f"{path}: time column must be strictly increasing")
@@ -158,7 +146,6 @@ def _config_echo(cfg: PipelineConfig, dt: float) -> dict:
         "forcing": fit.forcing,
         "method": fit.method,
         "derivative_scheme": fit.derivative_scheme,
-        "center_per_half": fit.center_per_half,
         "dt_resample": cfg.dt_resample,
         "trim": cfg.trim,
     }
@@ -289,272 +276,6 @@ def run_pipeline(cfg: PipelineConfig, names=tuple(_ARTIFACTS)) -> dict:
     return {name: _ARTIFACTS[name](model, echo) for name in names}
 
 
-def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
-              forcing: bool) -> dict:
-    """Structure scores across a sampling-period grid and a column grid.
-
-    The dt grid subsamples the input by strides (20, 10, 2, 1) over the
-    full record (fixed time span, fixed rows); the column grid runs at
-    stride 2 with n in (1001, 2001, 5001, 10001) columns (fixed dt). The
-    standard input is the lorenz_sweep preset, whose base step 0.0005
-    realizes dt in {0.01, 0.005, 0.001, 0.0005} and the column grid at
-    dt = 0.001.
-    """
-    dt_rows = []
-    for stride in (20, 10, 2, 1):
-        sub = TimeSeries(
-            t0=series.t0, dt=series.dt * stride, values=series.values[::stride]
-        )
-        if len(sub) < delays + rank + 1:
-            raise ParameterError(
-                f"input too short for stride {stride}: {len(sub)} samples"
-            )
-        cfg = models.FitConfig(
-            delays=delays, rank=rank, method=method, forcing=forcing
-        )
-        model = models.fit(sub, cfg)
-        dt_rows.append({
-            "dt": sub.dt,
-            "stride": stride,
-            "columns": len(sub) - delays + 1,
-            "antisymmetry": diagnostics.antisymmetry_score(model.a_continuous),
-            "tridiagonality": diagnostics.tridiagonality_score(model.a_continuous),
-        })
-    col_rows = []
-    sub = TimeSeries(t0=series.t0, dt=series.dt * 2, values=series.values[::2])
-    for columns in (1001, 2001, 5001, 10001):
-        need = columns + delays - 1
-        if len(sub) < need:
-            raise ParameterError(
-                f"column sweep needs {need} samples at stride 2, got {len(sub)}"
-            )
-        window = TimeSeries(t0=sub.t0, dt=sub.dt, values=sub.values[:need])
-        cfg = models.FitConfig(
-            delays=delays, rank=rank, method=method, forcing=forcing
-        )
-        model = models.fit(window, cfg)
-        col_rows.append({
-            "columns": columns,
-            "dt": sub.dt,
-            "antisymmetry": diagnostics.antisymmetry_score(model.a_continuous),
-            "tridiagonality": diagnostics.tridiagonality_score(model.a_continuous),
-        })
-    return {"dt_sweep": dt_rows, "column_sweep": col_rows}
-
-
-# --------------------------------------------------------------------------
-# Named scenarios
-
-
-def _fit_preset(preset_name, delays, rank, method, forcing):
-    series = systems.measure(
-        systems.simulate(systems.preset(preset_name)),
-        systems.default_observable(systems.preset(preset_name).kind),
-    )
-    cfg = models.FitConfig(delays=delays, rank=rank, method=method, forcing=forcing)
-    return models.fit(series, cfg)
-
-
-def _scenario_curvature():
-    series = systems.measure(systems.simulate(systems.preset("two_tone")), "x")
-    emb = center_hankel(build_hankel(series, 41))
-    d1, d2, d3, d4 = derivative_stack(emb.center_row, series.dt, 4)
-    analytic = analytic_curvatures_gram(d1, d2, d3, d4)
-    rows = {"analytic": list(analytic)}
-    for method in ("havok", "shavok"):
-        cfg = models.FitConfig(delays=41, rank=4, method=method, forcing=False)
-        model = models.fit(series, cfg)
-        est = curvatures_from_model(model.a_continuous, model.speed)
-        rows[method] = {
-            "curvatures": list(est.curvatures),
-            "delta_vs_analytic": [
-                float(abs(a - b)) for a, b in zip(est.curvatures, analytic)
-            ],
-        }
-    reference = (1.205e-2, 4.46e-3, 6.62e-3)
-    rows["reference"] = list(reference)
-    rows["analytic_within_5e-5"] = bool(
-        max(abs(a - b) for a, b in zip(analytic, reference)) <= 5e-5
-    )
-    rows["shavok_within_5e-4"] = bool(
-        max(rows["shavok"]["delta_vs_analytic"]) <= 5e-4
-    )
-    lines = [
-        f"analytic curvatures: {analytic[0]:.5e} {analytic[1]:.5e} {analytic[2]:.5e}",
-        f"analytic within 5e-5 of reference: {rows['analytic_within_5e-5']}",
-        f"shavok superdiagonal within 5e-4 of analytic: {rows['shavok_within_5e-4']}",
-    ]
-    return rows, lines
-
-
-def _monotone_with_tolerance(scores, rel=0.05):
-    """Nonincreasing allowing at most one adjacent rise of <= rel."""
-    violations = [
-        (b - a) / a for a, b in zip(scores[:-1], scores[1:]) if b > a
-    ]
-    return (len(violations) == 0
-            or (len(violations) == 1 and violations[0] <= rel))
-
-
-def _scenario_structure_sweep():
-    series = systems.measure(systems.simulate(systems.preset("lorenz_sweep")), "x")
-    payload = run_sweep(series, delays=41, rank=5, method="havok", forcing=True)
-    dt_scores = [row["antisymmetry"] for row in payload["dt_sweep"]]
-    col_scores = [row["antisymmetry"] for row in payload["column_sweep"]]
-    payload["dt_sweep_monotone"] = _monotone_with_tolerance(dt_scores)
-    payload["column_sweep_monotone"] = _monotone_with_tolerance(col_scores)
-    lines = [
-        "dt sweep antisymmetry: " + " ".join(f"{s:.4f}" for s in dt_scores),
-        "column sweep antisymmetry: " + " ".join(f"{s:.4f}" for s in col_scores),
-        f"both monotone (<=1 violation of 5%): "
-        f"{payload['dt_sweep_monotone'] and payload['column_sweep_monotone']}",
-    ]
-    return payload, lines
-
-
-def _scenario_interpolation():
-    fine = systems.measure(systems.simulate(systems.preset("lorenz_interp")), "x")
-    coarse = TimeSeries(t0=fine.t0, dt=fine.dt * 100, values=fine.values[::100])
-    delays, rank = 201, 5
-    cfg = models.FitConfig(delays=delays, rank=rank, method="havok", forcing=True)
-    raw_model = models.fit(coarse, cfg)
-    resampled = preprocess.resample(preprocess.spline_fit(coarse), 0.001)
-    resampled = preprocess.trim_series(resampled, delays)
-    new_model = models.fit(resampled, cfg)
-    raw_score = diagnostics.antisymmetry_score(raw_model.a_continuous)
-    new_score = diagnostics.antisymmetry_score(new_model.a_continuous)
-    payload = {
-        "raw_antisymmetry": raw_score,
-        "resampled_antisymmetry": new_score,
-        "improvement_factor": raw_score / new_score,
-        "improved_2x": bool(raw_score / new_score >= 2.0),
-    }
-    lines = [
-        f"raw (dt=0.1) antisymmetry: {raw_score:.4f}",
-        f"resampled (dt=0.001) antisymmetry: {new_score:.4f}",
-        f"improvement: {raw_score / new_score:.1f}x (>= 2x: {payload['improved_2x']})",
-    ]
-    return payload, lines
-
-
-def _scenario_short_spectra():
-    payload = {}
-    lines = []
-    for kind, (short, long_, delays, rank, forcing) in _SPECTRA_CONFIGS.items():
-        reference = _fit_preset(long_, delays, rank, "havok", forcing)
-        havok = _fit_preset(short, delays, rank, "havok", forcing)
-        shavok = _fit_preset(short, delays, rank, "shavok", forcing)
-        dist_h = diagnostics.spectrum_distance(
-            havok.spectrum, reference.spectrum
-        ).mean_distance
-        dist_s = diagnostics.spectrum_distance(
-            shavok.spectrum, reference.spectrum
-        ).mean_distance
-        payload[kind] = {
-            "delays": delays,
-            "rank": rank,
-            "forcing": forcing,
-            "havok_mean_distance": dist_h,
-            "shavok_mean_distance": dist_s,
-            "shavok_closer": bool(dist_s < dist_h),
-        }
-        lines.append(
-            f"{kind}: havok {dist_h:.4f} vs shavok {dist_s:.4f} "
-            f"(shavok closer: {dist_s < dist_h})"
-        )
-    return payload, lines
-
-
-def _scenario_stability():
-    series = systems.measure(
-        systems.simulate(systems.preset("pendulum_short")), "sin_theta1"
-    )
-    payload = {}
-    lines = []
-    rollout_steps = 100000
-    for method in ("havok", "shavok"):
-        cfg = models.FitConfig(delays=201, rank=5, method=method, forcing=True)
-        model = models.fit(series, cfg)
-        max_re = float(np.max(model.spectrum.eigenvalues.real))
-        forcing = models.forcing_signal(model).values
-        window = models.reconstruct(
-            model, model.basis.v[0, :model.state_dim], model.basis.v.shape[0],
-            forcing,
-        )
-        norms = np.linalg.norm(window, axis=1)
-        initial = float(np.linalg.norm(model.basis.v[0, :model.state_dim]))
-        # Long homogeneous rollout: the spectral gap decides boundedness.
-        v = model.basis.v[0, :model.state_dim].copy()
-        peak = float(np.linalg.norm(v))
-        for _ in range(rollout_steps):
-            v = model.a_discrete @ v
-            n = float(np.linalg.norm(v))
-            if n > peak:
-                peak = n
-        payload[method] = {
-            "max_real_part": max_re,
-            "window_peak_over_initial": float(np.max(norms) / initial),
-            "homogeneous_peak_over_initial": peak / initial,
-            "window_exceeds_10x": bool(np.max(norms) > 10.0 * initial),
-        }
-        lines.append(
-            f"{method}: max Re = {max_re:+.4f}, homogeneous peak "
-            f"{peak / initial:.2f}x initial over {rollout_steps} steps"
-        )
-    payload["shavok_max_re_not_larger"] = bool(
-        payload["shavok"]["max_real_part"] <= payload["havok"]["max_real_part"]
-    )
-    lines.append(
-        f"shavok max Re <= havok max Re: {payload['shavok_max_re_not_larger']}"
-    )
-    return payload, lines
-
-
-def _scenario_derivative_ratio():
-    delays = 41
-    dt = 0.001
-    payload = {"ratios": []}
-    lines = []
-    for columns in (10**3, 10**4, 10**5):
-        samples = columns + delays - 1
-        spec = systems.SystemSpec(
-            kind="two_tone", parameters={}, initial_state=(),
-            dt=dt, samples=samples,
-        )
-        series = systems.measure(systems.simulate(spec), "x")
-        emb = center_hankel(build_hankel(series, delays))
-        d1, d2 = derivative_stack(emb.center_row, dt, 2)
-        ratio = 2.0 * float(np.linalg.norm(d2)) / float(np.linalg.norm(d1))
-        payload["ratios"].append({"columns": columns, "ratio": ratio})
-        lines.append(f"n = {columns}: ratio = {ratio:.4f}")
-    limit = 2.0 * float(np.sqrt(17.0 / 5.0))
-    final = payload["ratios"][-1]["ratio"]
-    payload["limit"] = limit
-    payload["final_within_1pct"] = bool(abs(final - limit) <= 0.01 * limit)
-    lines.append(
-        f"limit 2*sqrt(17/5) = {limit:.4f}; final within 1%: "
-        f"{payload['final_within_1pct']}"
-    )
-    return payload, lines
-
-
-def run_scenario(name: str):
-    """Dispatch a named scenario; returns (payload, printed lines)."""
-    runners = {
-        "curvature": _scenario_curvature,
-        "structure-sweep": _scenario_structure_sweep,
-        "interpolation": _scenario_interpolation,
-        "short-spectra": _scenario_short_spectra,
-        "stability": _scenario_stability,
-        "derivative-ratio": _scenario_derivative_ratio,
-    }
-    if name not in runners:
-        raise ParameterError(
-            f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}"
-        )
-    return runners[name]()
-
-
 # --------------------------------------------------------------------------
 # Argument parsing and entry point
 
@@ -610,17 +331,34 @@ def _build_parser():
 
     p = sub.add_parser("reproduce", help="run a named verification scenario")
     p.add_argument("--scenario", required=True,
-                   help=", ".join(_SCENARIOS))
+                   help=", ".join(SCENARIOS))
     p.add_argument("--out-dir", required=True)
     return parser
 
 
 def _write_artifacts(out_dir: str, artifacts: dict):
+    """Write every artifact or none.
+
+    The files are staged in a temporary directory inside ``out_dir`` and
+    moved into place only after all of them are written, and a target
+    that is a directory (which a file cannot replace) fails the write
+    before anything moves, so a failed write leaves ``out_dir`` as it was.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in artifacts.items():
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+        try:
+            for name, text in artifacts.items():
+                if os.path.isdir(os.path.join(out_dir, name)):
+                    raise ParameterError(
+                        f"cannot write to --out-dir {out_dir}: {name} is a directory"
+                    )
+                with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for name in artifacts:
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
         raise ParameterError(
             f"cannot write to --out-dir {out_dir}: {exc.strerror or exc}"
@@ -642,7 +380,6 @@ def _pipeline_config(args) -> PipelineConfig:
         fit=fit_cfg,
         dt_resample=args.dt_resample,
         trim=args.trim,
-        out_dir=args.out_dir,
     )
 
 
@@ -653,9 +390,7 @@ def _run(args) -> int:
                 f"simulate needs a preset name, got {args.input!r}; "
                 f"available: {', '.join(systems.preset_names())}"
             )
-        spec = systems.preset(args.input)
-        obs = args.observable or systems.default_observable(spec.kind)
-        series = systems.measure(systems.simulate(spec), obs)
+        series, _ = _resolve_input(args.input, args.observable)
         _write_artifacts(args.out_dir, {"series.csv": format_series_csv(series)})
         return 0
     if args.command in _COMMAND_ARTIFACTS:
@@ -683,7 +418,12 @@ def _run(args) -> int:
         _write_artifacts(args.out_dir, {"sweep.json": _dump_json(payload)})
         return 0
     # reproduce
-    payload, lines = run_scenario(args.scenario)
+    if args.scenario not in SCENARIOS:
+        raise ParameterError(
+            f"unknown scenario {args.scenario!r}; "
+            f"available: {', '.join(SCENARIOS)}"
+        )
+    payload, lines = SCENARIOS[args.scenario]()
     name = args.scenario.replace("-", "_") + ".json"
     _write_artifacts(args.out_dir, {name: _dump_json(payload)})
     for line in lines:

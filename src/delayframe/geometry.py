@@ -159,21 +159,11 @@ def frenet_frame(derivatives) -> FrenetApparatus:
         raise DegenerateInputError("first derivative is zero; the frame is undefined")
     # Zero higher derivatives are dependent (a straight line has d2 = 0
     # exactly), so they drop with a report instead of raising.
-    basis: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i, v in enumerate(arr):
-        norm_in = float(np.linalg.norm(v))
-        if norm_in == 0.0:
-            dropped.append(i)
-            continue
-        w = v.copy()
-        for q in basis:
-            w -= (q @ w) * q
-        norm_out = float(np.linalg.norm(w))
-        if norm_out < 1e-12 * norm_in:
-            dropped.append(i)
-            continue
-        basis.append(w / norm_out)
+    nonzero = [i for i, v in enumerate(arr) if np.linalg.norm(v) > 0.0]
+    basis, dependent = gram_schmidt([arr[i] for i in nonzero])
+    dropped = sorted(
+        set(range(len(arr))).difference(nonzero) | {nonzero[j] for j in dependent}
+    )
     return FrenetApparatus(frame=tuple(basis), speed=speed, dropped=tuple(dropped))
 
 

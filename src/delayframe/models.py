@@ -29,16 +29,14 @@ import numpy as np
 
 from .embedding import TimeSeries, build_hankel, center_hankel, split_shift
 from .errors import DegenerateRankError, ParameterError
-from .linalg import Spectrum, eigen_nonsymmetric, pseudo_inverse, thin_svd
+from .linalg import Spectrum, SvdTriple, eigen_nonsymmetric, pseudo_inverse, thin_svd
 
 __all__ = [
     "FitConfig",
-    "ReducedBasis",
     "DelayModel",
     "fit",
     "fit_havok",
     "fit_shavok",
-    "model_spectrum",
     "log_mapped_spectrum",
     "reconstruct",
     "forcing_signal",
@@ -56,9 +54,7 @@ class FitConfig:
     ``dt`` may be left None to take the series' own step; if both are
     given they must agree. ``rank`` counts retained singular vectors; with
     ``forcing`` on, the model state is the first rank - 1 coordinates and
-    the last one drives them. ``center_per_half`` centers each Hankel half
-    separately instead of centering once before the split (split variant
-    only; experimental).
+    the last one drives them.
     """
 
     delays: int
@@ -68,7 +64,6 @@ class FitConfig:
     forcing: bool = True
     method: str = "havok"
     derivative_scheme: str = "forward"
-    center_per_half: bool = False
 
     def __post_init__(self):
         for name in ("delays", "rank"):
@@ -92,23 +87,10 @@ class FitConfig:
                 "derivative_scheme must be 'forward' or 'central', "
                 f"got {self.derivative_scheme!r}"
             )
-        if self.center_per_half and not self.centering:
-            raise ParameterError("center_per_half requires centering")
-        if self.center_per_half and self.method != "shavok":
-            raise ParameterError("center_per_half applies to the shavok method only")
 
     @property
     def state_dim(self) -> int:
         return self.rank - 1 if self.forcing else self.rank
-
-
-@dataclass(frozen=True)
-class ReducedBasis:
-    """Rank-truncated SVD retained by a fit: u (m x r), sigma (r), v (n x r)."""
-
-    u: np.ndarray = field(repr=False)
-    sigma: np.ndarray
-    v: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,14 +103,18 @@ class DelayModel:
     ``speed`` is the central-difference estimate of the embedded curve's
     velocity norm, present only for centered fits. ``residual`` is the
     largest one-step prediction error norm over the fitted window, and
-    ``t0`` is the time of the first column's window center.
+    ``t0`` is the time of the first column's window center. ``basis`` is
+    the sign-canonicalized rank-r SVD the regression ran on (for the split
+    method, that of the first half). ``spectrum`` holds the eigenvalues of
+    ``a_continuous``; log_mapped_spectrum gives the ln(lambda)/dt map of
+    ``a_discrete`` instead, and the two agree to O(dt).
     """
 
     a_discrete: np.ndarray = field(repr=False)
     a_continuous: np.ndarray = field(repr=False)
     b_discrete: np.ndarray | None
     b_continuous: np.ndarray | None
-    basis: ReducedBasis = field(repr=False)
+    basis: SvdTriple = field(repr=False)
     spectrum: Spectrum = field(repr=False)
     config: FitConfig
     dt: float
@@ -305,7 +291,7 @@ def fit_havok(x: TimeSeries, config: FitConfig) -> DelayModel:
     u *= signs[None, :]
     ext_discrete = signs[:state_dim, None] * ext_discrete * signs[None, :]
     ext_continuous = signs[:state_dim, None] * ext_continuous * signs[None, :]
-    basis = ReducedBasis(u=u, sigma=svd.sigma, v=vt.T.copy())
+    basis = SvdTriple(u=u, sigma=svd.sigma, v=vt.T.copy(), rank=config.rank)
     t0 = x.t0 + 0.5 * (config.delays - 1) * dt
     return _assemble(
         ext_discrete, ext_continuous, basis, dt, t0, speed, config,
@@ -330,18 +316,10 @@ def fit_shavok(x: TimeSeries, config: FitConfig) -> DelayModel:
     dt = _resolve_dt(x, config)
     embedding = build_hankel(x, config.delays)
     speed = None
-    if config.centering and not config.center_per_half:
+    if config.centering:
         embedding = center_hankel(embedding)
         speed = _speed_from_center(embedding.center_row, dt)
     first, second = split_shift(embedding)
-    if config.center_per_half:
-        # Speed still comes from the unsplit central row so the
-        # curvature scaling is common to both halves.
-        speed = _speed_from_center(
-            embedding.matrix[(config.delays - 1) // 2], dt
-        )
-        first = center_hankel(first)
-        second = center_hankel(second)
     state_dim = config.state_dim
     svd1 = _guarded_svd(first.matrix, config.rank, state_dim)
     svd2 = _guarded_svd(second.matrix, state_dim, state_dim)
@@ -365,24 +343,12 @@ def fit_shavok(x: TimeSeries, config: FitConfig) -> DelayModel:
     u2 *= signs[None, :state_dim]
     ext_discrete = signs[:state_dim, None] * ext_discrete * signs[None, :]
     ext_continuous = signs[:state_dim, None] * ext_continuous * signs[None, :]
-    basis = ReducedBasis(u=u1, sigma=svd1.sigma, v=v1t.T.copy())
+    basis = SvdTriple(u=u1, sigma=svd1.sigma, v=v1t.T.copy(), rank=config.rank)
     t0 = x.t0 + 0.5 * (config.delays - 1) * dt
     return _assemble(
         ext_discrete, ext_continuous, basis, dt, t0, speed, config,
         v1t, v2t, v1t[config.rank - 1],
     )
-
-
-def model_spectrum(model: DelayModel) -> Spectrum:
-    """Continuous-time spectrum of the fitted generator.
-
-    Returns the eigenvalues of a_continuous directly. The alternative
-    discrete-to-continuous map ln(lambda)/dt over a_discrete's eigenvalues
-    is exposed by log_mapped_spectrum; the two agree to O(dt).
-    """
-    if not isinstance(model, DelayModel):
-        raise ParameterError(f"expected a DelayModel, got {type(model).__name__}")
-    return model.spectrum
 
 
 def log_mapped_spectrum(model: DelayModel) -> np.ndarray:

@@ -76,7 +76,7 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
 
     The grid starts at the first knot and never extends past the last one
     (no extrapolation); a dt_new wider than the span leaves fewer than two
-    samples and is rejected.
+    samples and is rejected, and so is one whose grid cannot be allocated.
     """
     if not isinstance(model, SplineModel):
         raise ParameterError(f"expected a SplineModel, got {type(model).__name__}")
@@ -89,10 +89,17 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
         raise ParameterError(
             f"dt_new = {dt_new} exceeds the knot span {span}; nothing to sample"
         )
-    t = start + dt_new * np.arange(count)
-    # Roundoff can push the last point a hair past the final knot.
-    t[-1] = min(t[-1], model.knots[-1])
-    return TimeSeries(t0=start, dt=float(dt_new), values=model.evaluate(t))
+    try:
+        t = start + dt_new * np.arange(count)
+        # Roundoff can push the last point a hair past the final knot.
+        t[-1] = min(t[-1], model.knots[-1])
+        values = model.evaluate(t)
+    except MemoryError as exc:
+        raise ParameterError(
+            f"dt_new = {dt_new} asks for {count} samples over the knot span "
+            f"{span}; that grid does not fit in memory"
+        ) from exc
+    return TimeSeries(t0=start, dt=float(dt_new), values=values)
 
 
 def trim_series(x: TimeSeries, count: int) -> TimeSeries:

@@ -15,8 +15,9 @@ def two_tone():
 def series_cache():
     """Lazy per-session cache of preset measurements.
 
-    The long presets take seconds to integrate; every test that needs one
-    goes through here so each is simulated at most once per run.
+    Unit tests that share a preset go through here so it is simulated at
+    most once per run; the acceptance criteria run the ``scenarios``
+    instead, which simulate their own presets.
     """
     cache = {}
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from delayframe import diagnostics, models, preprocess, systems
+from delayframe import diagnostics
 from delayframe.cli import main
 from delayframe.embedding import TimeSeries, build_hankel, center_hankel
 from delayframe.geometry import (
@@ -30,8 +30,12 @@ from delayframe.geometry import (
 )
 from delayframe.linalg import thin_svd
 from delayframe.models import FitConfig, fit
-
-KAPPA_REF = (1.205e-2, 4.46e-3, 6.62e-3)
+from delayframe.scenarios import (
+    CURVATURE_REFERENCE,
+    SCENARIOS,
+    SPECTRA_CONFIGS,
+    monotone_with_tolerance,
+)
 
 # Reference dynamics matrices for the two-tone example, rounded to four
 # significant digits; used purely as regression anchors for the scores.
@@ -70,7 +74,7 @@ def test_criterion_01_curvature_recovery(two_tone):
         start = time.perf_counter()
         kappas = _analytic_kappas(two_tone)
         elapsed = time.perf_counter() - start
-        for got, ref in zip(kappas, KAPPA_REF):
+        for got, ref in zip(kappas, CURVATURE_REFERENCE):
             assert abs(got - ref) <= 5e-5
         assert elapsed < 5.0
 
@@ -126,11 +130,6 @@ def test_criterion_04_polynomial_basis(two_tone):
         assert np.max(np.abs(u1 - np.mean(u1))) <= 0.01 * np.linalg.norm(u1)
 
 
-def _monotone_one_violation(scores, rel=0.05):
-    rises = [(b - a) / a for a, b in zip(scores[:-1], scores[1:]) if b > a]
-    return len(rises) == 0 or (len(rises) == 1 and rises[0] <= rel)
-
-
 def test_criterion_05_structure_sweep(tmp_path):
     with verdict(5, "structure monotonicity sweep"):
         out = tmp_path / "sweep"
@@ -142,88 +141,48 @@ def test_criterion_05_structure_sweep(tmp_path):
         assert ns == [1001, 2001, 5001, 10001]
         for key in ("dt_sweep", "column_sweep"):
             scores = [row["antisymmetry"] for row in payload[key]]
-            assert _monotone_one_violation(scores), (key, scores)
+            assert monotone_with_tolerance(scores, rel=0.05), (key, scores)
 
 
-def test_criterion_06_interpolation_rescue(series_cache):
+def test_criterion_06_interpolation_rescue():
     with verdict(6, "interpolation rescue"):
-        fine = series_cache("lorenz_interp")
-        coarse = TimeSeries(t0=fine.t0, dt=fine.dt * 100,
-                            values=fine.values[::100])
-        cfg = FitConfig(delays=201, rank=5, forcing=True)
-        raw = fit(coarse, cfg)
-        resampled = preprocess.resample(preprocess.spline_fit(coarse), 0.001)
-        resampled = preprocess.trim_series(resampled, 201)
-        rescued = fit(resampled, cfg)
-        raw_score = diagnostics.antisymmetry_score(raw.a_continuous)
-        new_score = diagnostics.antisymmetry_score(rescued.a_continuous)
+        payload, _ = SCENARIOS["interpolation"]()
+        raw_score = payload["raw_antisymmetry"]
+        new_score = payload["resampled_antisymmetry"]
         assert raw_score >= 2.0 * new_score, (raw_score, new_score)
 
 
-SHORT_LONG = {
-    "lorenz": ("lorenz_short", "lorenz_long", 101, 5, True),
-    "rossler": ("rossler_short", "rossler_long", 51, 6, False),
-    "double_pendulum": ("pendulum_short", "pendulum_long", 401, 4, True),
-}
-
-
-def test_criterion_07_short_data_spectra(series_cache):
+def test_criterion_07_short_data_spectra():
     with verdict(7, "short-data eigenvalue fidelity"):
-        for kind, (short, long_, delays, rank, forcing) in SHORT_LONG.items():
-            ref = fit(series_cache(long_),
-                      FitConfig(delays=delays, rank=rank, forcing=forcing))
-            havok = fit(series_cache(short),
-                        FitConfig(delays=delays, rank=rank, forcing=forcing))
-            shavok = fit(series_cache(short),
-                         FitConfig(delays=delays, rank=rank, forcing=forcing,
-                                   method="shavok"))
-            dist_h = diagnostics.spectrum_distance(
-                havok.spectrum, ref.spectrum).mean_distance
-            dist_s = diagnostics.spectrum_distance(
-                shavok.spectrum, ref.spectrum).mean_distance
+        payload, _ = SCENARIOS["short-spectra"]()
+        assert list(payload) == list(SPECTRA_CONFIGS)
+        for kind, row in payload.items():
+            dist_h = row["havok_mean_distance"]
+            dist_s = row["shavok_mean_distance"]
             assert dist_s < dist_h, (kind, dist_s, dist_h)
 
 
-def test_criterion_08_stability(series_cache):
+def test_criterion_08_stability():
     with verdict(8, "stability of short pendulum fits"):
-        x = series_cache("pendulum_short")
-        fits = {
-            method: fit(x, FitConfig(delays=201, rank=5, forcing=True,
-                                     method=method))
-            for method in ("havok", "shavok")
-        }
-        max_re = {k: float(np.max(m.spectrum.eigenvalues.real))
-                  for k, m in fits.items()}
+        payload, _ = SCENARIOS["stability"]()
+        max_re = {k: payload[k]["max_real_part"] for k in ("havok", "shavok")}
         # strict assertion: sHAVOK is no less stable
         assert max_re["shavok"] <= max_re["havok"], max_re
-        for method, m in fits.items():
-            f = models.forcing_signal(m)
-            window = models.reconstruct(
-                m, m.basis.v[0, :m.state_dim], m.basis.v.shape[0], f.values
-            )
-            initial = np.linalg.norm(m.basis.v[0, :m.state_dim])
-            peak = np.max(np.linalg.norm(window, axis=1))
-            if method == "shavok":
-                assert peak <= 10.0 * initial
-            elif peak > 10.0 * initial:
-                # recorded, not failed
-                print(f"note: HAVOK window rollout peaked at "
-                      f"{peak / initial:.1f}x its initial norm")
+        assert payload["shavok"]["window_peak_over_initial"] <= 10.0
+        peak = payload["havok"]["window_peak_over_initial"]
+        if peak > 10.0:
+            # recorded, not failed
+            print(f"note: HAVOK window rollout peaked at "
+                  f"{peak:.1f}x its initial norm")
 
 
 def test_criterion_09_derivative_ratio_limit():
     with verdict(9, "delay-derivative ratio limit"):
         limit = 2.0 * math.sqrt(17.0 / 5.0)
-        ratios = []
-        for columns in (10**3, 10**4, 10**5):
-            spec = systems.SystemSpec(
-                kind="two_tone", parameters={}, initial_state=(),
-                dt=0.001, samples=columns + 40,
-            )
-            x = systems.measure(systems.simulate(spec), "x")
-            emb = center_hankel(build_hankel(x, 41))
-            d1, d2 = derivative_stack(emb.center_row, x.dt, 2)
-            ratios.append(2.0 * np.linalg.norm(d2) / np.linalg.norm(d1))
+        payload, _ = SCENARIOS["derivative-ratio"]()
+        ratios = [row["ratio"] for row in payload["ratios"]]
+        assert [row["columns"] for row in payload["ratios"]] == [
+            10**3, 10**4, 10**5]
         assert abs(ratios[-1] - limit) <= 0.01 * limit, ratios
 
 

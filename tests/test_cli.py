@@ -55,6 +55,18 @@ def test_csv_rejects_nonincreasing_time(tmp_path):
         load_series_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_csv_rejects_non_finite_time(tmp_path, capsys, bad):
+    path = _write(tmp_path / "x.csv",
+                  f"time,value\n0.0,1.0\n{bad},2.0\n0.2,3.0\n0.3,4.0\n")
+    with pytest.raises(DataError, match="non-finite"):
+        load_series_csv(path)
+    code = main(["diagnose", "--input", path, "--delays", "2", "--rank", "2",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_simulate_writes_closed_form(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--input", "two_tone", "--out-dir", str(out)]) == 0
@@ -212,6 +224,45 @@ def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, under):
     assert code == 2
     assert err.startswith("error:") and blocker in err
     assert "Traceback" not in err
+
+
+def test_failed_write_leaves_no_partial_artifacts(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "plotdata.csv").mkdir(parents=True)
+    code = main(["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+                 "--no-forcing", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    # nothing was moved into place, and the staging directory is gone
+    assert os.listdir(out) == ["plotdata.csv"]
+    assert os.listdir(out / "plotdata.csv") == []
+    assert err.startswith("error:") and "plotdata.csv" in err
+    assert "Traceback" not in err
+
+
+def test_rewrite_replaces_every_artifact(tmp_path):
+    out = tmp_path / "o"
+    args = ["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+            "--no-forcing", "--out-dir", str(out)]
+    assert main(args) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "model.json").write_text("stale\n")
+    assert main(args) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert sorted(first) == ["model.json", "plotdata.csv", "report.json",
+                             "spectrum.json"]
+
+
+def test_resample_grid_too_large_is_a_config_error(tmp_path, capsys):
+    # 1e16 samples is beyond the address space, so nothing is allocated
+    out = tmp_path / "o"
+    code = main(["fit", "--input", "two_tone", "--dt-resample", "1e-15",
+                 "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "dt_new = 1e-15" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):

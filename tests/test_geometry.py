@@ -18,9 +18,8 @@ from delayframe.geometry import (
     frenet_frame,
     monomial_orthobasis,
 )
-
-# Reference curvature triple for sin(t) + sin(2t) delay trajectories.
-KAPPA_REF = (1.205e-2, 4.46e-3, 6.62e-3)
+from delayframe.linalg import gram_schmidt
+from delayframe.scenarios import CURVATURE_REFERENCE
 
 
 def test_central_difference_exact_on_linear():
@@ -82,6 +81,18 @@ def test_frenet_frame_straight_line_drops_higher_terms():
     np.testing.assert_allclose(app.frame[0], d1 / np.linalg.norm(d1))
 
 
+def test_frenet_frame_reports_zero_and_dependent_inputs(rng):
+    d1, d3 = rng.standard_normal(30), rng.standard_normal(30)
+    app = frenet_frame([d1, np.zeros(30), d3, 2.0 * d1 - d3])
+    # the zero input drops before Gram-Schmidt, the dependent one inside
+    # it; indices refer to the caller's list either way
+    assert app.dropped == (1, 3)
+    basis, dropped = gram_schmidt([d1, d3])
+    assert dropped == ()
+    for got, want in zip(app.frame, basis):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_frenet_frame_zero_first_derivative():
     with pytest.raises(DegenerateInputError, match="first derivative"):
         frenet_frame([np.zeros(10), np.ones(10)])
@@ -122,7 +133,7 @@ def test_gram_curvatures_match_reference(two_tone):
     emb = center_hankel(build_hankel(two_tone, 41))
     d1, d2, d3, d4 = derivative_stack(emb.center_row, two_tone.dt, 4)
     kappas = analytic_curvatures_gram(d1, d2, d3, d4)
-    for got, ref in zip(kappas, KAPPA_REF):
+    for got, ref in zip(kappas, CURVATURE_REFERENCE):
         assert abs(got - ref) <= 5e-5
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from delayframe import diagnostics, models, systems
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DegenerateRankError, ParameterError
+from delayframe.linalg import SvdTriple
 from delayframe.models import FitConfig, fit, fit_havok, fit_shavok
 
 
@@ -34,11 +35,6 @@ def test_fit_config_validation():
         FitConfig(delays=10, rank=4, method="dmd")
     with pytest.raises(ParameterError):
         FitConfig(delays=10, rank=4, derivative_scheme="spectral")
-    with pytest.raises(ParameterError):
-        FitConfig(delays=10, rank=4, center_per_half=True)  # needs shavok
-    with pytest.raises(ParameterError):
-        FitConfig(delays=10, rank=4, method="shavok",
-                  centering=False, center_per_half=True)
 
 
 def test_fit_config_state_dim():
@@ -100,6 +96,14 @@ def test_basis_orthonormality(two_tone_models):
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
         assert np.all(np.diff(m.basis.sigma) <= 0.0)
+
+
+def test_basis_is_the_rank_r_svd_triple(two_tone, two_tone_models):
+    forced = fit(two_tone, FitConfig(delays=41, rank=5, method="shavok"))
+    for m in (*two_tone_models.values(), forced):
+        assert isinstance(m.basis, SvdTriple)
+        assert m.basis.rank == m.config.rank == m.basis.sigma.shape[0]
+        assert m.basis.u.shape == (41, m.config.rank)
 
 
 def test_superdiagonal_orientation(two_tone_models):
@@ -174,11 +178,6 @@ def test_two_tone_frequencies(two_tone_models):
         np.testing.assert_allclose(freqs[2:], 2.0, atol=0.1)
 
 
-def test_model_spectrum_accessor(two_tone_models):
-    m = two_tone_models["havok"]
-    assert models.model_spectrum(m) is m.spectrum
-
-
 def test_log_mapped_spectrum_matches_continuous(two_tone_models):
     m = two_tone_models["havok"]
     mapped = models.log_mapped_spectrum(m)
@@ -211,16 +210,6 @@ def test_methods_converge_together():
                              method="shavok"))
         gaps.append(np.linalg.norm(s.a_discrete - h.a_discrete))
     assert gaps[1] < gaps[0] / 10.0
-
-
-def test_center_per_half_commutes(two_tone):
-    # Centering subtracts the central row, which splits column-for-column,
-    # so per-half centering reproduces the shared-center fit exactly.
-    base = fit(two_tone, FitConfig(delays=41, rank=4, forcing=False,
-                                   method="shavok"))
-    half = fit(two_tone, FitConfig(delays=41, rank=4, forcing=False,
-                                   method="shavok", center_per_half=True))
-    np.testing.assert_array_equal(base.a_discrete, half.a_discrete)
 
 
 # ---------------------------------------------------------------------------
