@@ -101,10 +101,7 @@ def load_series_csv(path: str) -> TimeSeries:
 def _resolve_input(name: str, observable: str | None):
     """A preset name or a CSV path becomes (TimeSeries, resolved observable)."""
     if name in systems.preset_names():
-        spec = systems.preset(name)
-        obs = observable or systems.default_observable(spec.kind)
-        series = systems.measure(systems.simulate(spec), obs)
-        return series, obs
+        return systems.preset_series(name, observable)
     if os.path.exists(name):
         if observable is not None:
             raise ParameterError("--observable applies to presets, not CSV input")

@@ -349,6 +349,32 @@ def _closed_form_columns(p: int, degree: int, grid: np.ndarray):
     return cols
 
 
+def _centered_grid(delays, degree, max_degree=None):
+    """Validate (delays, degree) and return (p, the grid {-p..p}).
+
+    ``max_degree`` bounds the degree for the closed forms; it is checked
+    before the half-width, so a too-high degree reports that first.
+    """
+    for name, v in (("delays", delays), ("degree", degree)):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ParameterError(f"{name} must be an integer, got {v!r}")
+    if delays % 2 == 0 or delays < 3:
+        raise ParameterError(f"delays must be odd and >= 3, got {delays}")
+    if degree < 1:
+        raise ParameterError(f"degree must be >= 1, got {degree}")
+    if max_degree is not None and degree > max_degree:
+        raise ParameterError(
+            f"only degrees 1..{max_degree} have closed forms, got {degree}; "
+            "use monomial_orthobasis for higher degrees"
+        )
+    p = (delays - 1) // 2
+    if p < degree:
+        raise ParameterError(
+            f"half-width (delays-1)/2 = {p} must be >= degree {degree}"
+        )
+    return p, np.arange(-p, p + 1, dtype=float)
+
+
 def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
     """Closed-form discrete orthonormal polynomials p1..p_degree.
 
@@ -359,24 +385,7 @@ def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
     the same family by Gram-Schmidt (numerically, not symbolically,
     orthogonal).
     """
-    for name, v in (("delays", delays), ("degree", degree)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise ParameterError(f"{name} must be an integer, got {v!r}")
-    if delays % 2 == 0 or delays < 3:
-        raise ParameterError(f"delays must be odd and >= 3, got {delays}")
-    if degree < 1:
-        raise ParameterError(f"degree must be >= 1, got {degree}")
-    if degree > 5:
-        raise ParameterError(
-            f"only degrees 1..5 have closed forms, got {degree}; "
-            "use monomial_orthobasis for higher degrees"
-        )
-    p = (delays - 1) // 2
-    if p < degree:
-        raise ParameterError(
-            f"half-width (delays-1)/2 = {p} must be >= degree {degree}"
-        )
-    grid = np.arange(-p, p + 1, dtype=float)
+    p, grid = _centered_grid(delays, degree, max_degree=5)
     cols = _closed_form_columns(p, degree, grid)
     return PolynomialBasis(
         vectors=np.column_stack(cols),
@@ -392,19 +401,7 @@ def monomial_orthobasis(delays: int, degree: int) -> PolynomialBasis:
     are defined. Orthogonality holds numerically rather than by closed
     form.
     """
-    for name, v in (("delays", delays), ("degree", degree)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise ParameterError(f"{name} must be an integer, got {v!r}")
-    if delays % 2 == 0 or delays < 3:
-        raise ParameterError(f"delays must be odd and >= 3, got {delays}")
-    if degree < 1:
-        raise ParameterError(f"degree must be >= 1, got {degree}")
-    p = (delays - 1) // 2
-    if p < degree:
-        raise ParameterError(
-            f"half-width (delays-1)/2 = {p} must be >= degree {degree}"
-        )
-    grid = np.arange(-p, p + 1, dtype=float)
+    p, grid = _centered_grid(delays, degree)
     monomials = [grid**k for k in range(1, degree + 1)]
     basis, dropped = gram_schmidt(monomials)
     if dropped:

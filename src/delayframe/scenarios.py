@@ -96,14 +96,8 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
     return {"dt_sweep": dt_rows, "column_sweep": col_rows}
 
 
-def _preset_series(name):
-    """Simulate a preset and measure its default observable."""
-    spec = systems.preset(name)
-    return systems.measure(systems.simulate(spec), systems.default_observable(spec.kind))
-
-
 def _curvature():
-    series = _preset_series("two_tone")
+    series = systems.preset_series("two_tone")[0]
     emb = center_hankel(build_hankel(series, 41))
     d1, d2, d3, d4 = derivative_stack(emb.center_row, series.dt, 4)
     analytic = analytic_curvatures_gram(d1, d2, d3, d4)
@@ -134,7 +128,7 @@ def _curvature():
 
 
 def _structure_sweep():
-    series = _preset_series("lorenz_sweep")
+    series = systems.preset_series("lorenz_sweep")[0]
     payload = run_sweep(series, delays=41, rank=5, method="havok", forcing=True)
     dt_scores = [row["antisymmetry"] for row in payload["dt_sweep"]]
     col_scores = [row["antisymmetry"] for row in payload["column_sweep"]]
@@ -150,7 +144,7 @@ def _structure_sweep():
 
 
 def _interpolation():
-    fine = _preset_series("lorenz_interp")
+    fine = systems.preset_series("lorenz_interp")[0]
     coarse = TimeSeries(t0=fine.t0, dt=fine.dt * 100, values=fine.values[::100])
     delays, rank = 201, 5
     cfg = models.FitConfig(delays=delays, rank=rank, method="havok", forcing=True)
@@ -179,8 +173,8 @@ def _short_spectra():
     lines = []
     for kind, (short, long_, delays, rank, forcing) in SPECTRA_CONFIGS.items():
         cfg = models.FitConfig(delays=delays, rank=rank, forcing=forcing)
-        reference = models.fit(_preset_series(long_), cfg)
-        series = _preset_series(short)
+        reference = models.fit(systems.preset_series(long_)[0], cfg)
+        series = systems.preset_series(short)[0]
         havok = models.fit(series, cfg)
         shavok = models.fit(series, replace(cfg, method="shavok"))
         dist_h = diagnostics.spectrum_distance(
@@ -205,7 +199,7 @@ def _short_spectra():
 
 
 def _stability():
-    series = _preset_series("pendulum_short")
+    series = systems.preset_series("pendulum_short")[0]
     payload = {}
     lines = []
     rollout_steps = 100000
@@ -221,13 +215,16 @@ def _stability():
         norms = np.linalg.norm(window, axis=1)
         initial = float(np.linalg.norm(model.basis.v[0, :model.state_dim]))
         # Long homogeneous rollout: the spectral gap decides boundedness.
+        # The peak squared norm, square-rooted once: sqrt is monotone and
+        # correctly rounded, so this equals the peak of np.linalg.norm(v).
         v = model.basis.v[0, :model.state_dim].copy()
-        peak = float(np.linalg.norm(v))
+        peak_sq = float(v.dot(v))
         for _ in range(rollout_steps):
             v = model.a_discrete @ v
-            n = float(np.linalg.norm(v))
-            if n > peak:
-                peak = n
+            n_sq = float(v.dot(v))
+            if n_sq > peak_sq:
+                peak_sq = n_sq
+        peak = float(np.sqrt(peak_sq))
         payload[method] = {
             "max_real_part": max_re,
             "window_peak_over_initial": float(np.max(norms) / initial),

@@ -36,6 +36,7 @@ __all__ = [
     "simulate",
     "measure",
     "preset",
+    "preset_series",
     "preset_names",
     "observables_for",
     "default_observable",
@@ -126,21 +127,56 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _rk4(f, state, dt, steps, dim):
-    out = np.empty((steps, dim))
-    s = state
+def _rk4_3(f, state, dt, steps):
+    """Fixed-step RK4 of a 3-state system, one row per step.
+
+    Straight-line scalar code: one right-hand-side call per stage, each
+    coordinate updated as s + dt * (k1 + 2*k2 + 2*k3 + k4) / 6. The first
+    non-finite state raises NumericalError naming its step.
+    """
+    out = np.empty((steps, 3))
+    x, y, z = state
     half = 0.5 * dt
-    rng = range(dim)
+    isfinite = math.isfinite
     for i in range(steps):
-        out[i] = s
-        k1 = f(*s)
-        k2 = f(*[s[j] + half * k1[j] for j in rng])
-        k3 = f(*[s[j] + half * k2[j] for j in rng])
-        k4 = f(*[s[j] + dt * k3[j] for j in rng])
-        s = tuple(
-            s[j] + dt * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]) / 6 for j in rng
+        out[i] = x, y, z
+        k1x, k1y, k1z = f(x, y, z)
+        k2x, k2y, k2z = f(x + half * k1x, y + half * k1y, z + half * k1z)
+        k3x, k3y, k3z = f(x + half * k2x, y + half * k2y, z + half * k2z)
+        k4x, k4y, k4z = f(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+        x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+        y = y + dt * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+        z = z + dt * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise NumericalError(
+                f"state became non-finite at integration step {i + 1}"
+            )
+    return out
+
+
+def _rk4_4(f, state, dt, steps):
+    """_rk4_3 for a 4-state system."""
+    out = np.empty((steps, 4))
+    a, b, c, d = state
+    half = 0.5 * dt
+    isfinite = math.isfinite
+    for i in range(steps):
+        out[i] = a, b, c, d
+        k1a, k1b, k1c, k1d = f(a, b, c, d)
+        k2a, k2b, k2c, k2d = f(
+            a + half * k1a, b + half * k1b, c + half * k1c, d + half * k1d
         )
-        if not all(math.isfinite(v) for v in s):
+        k3a, k3b, k3c, k3d = f(
+            a + half * k2a, b + half * k2b, c + half * k2c, d + half * k2d
+        )
+        k4a, k4b, k4c, k4d = f(
+            a + dt * k3a, b + dt * k3b, c + dt * k3c, d + dt * k3d
+        )
+        a = a + dt * (k1a + 2 * k2a + 2 * k3a + k4a) / 6
+        b = b + dt * (k1b + 2 * k2b + 2 * k3b + k4b) / 6
+        c = c + dt * (k1c + 2 * k2c + 2 * k3c + k4c) / 6
+        d = d + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             raise NumericalError(
                 f"state became non-finite at integration step {i + 1}"
             )
@@ -166,7 +202,7 @@ def simulate(spec: SystemSpec) -> Trajectory:
         def f(x, y, z):
             return sig * (y - x), x * (rho - z) - y, x * y - beta * z
 
-        states = _rk4(f, spec.initial_state, spec.dt, spec.samples, 3)
+        states = _rk4_3(f, spec.initial_state, spec.dt, spec.samples)
         return Trajectory(spec=spec, states=states)
     if spec.kind == "rossler":
         a, b, c = p["a"], p["b"], p["c"]
@@ -174,20 +210,25 @@ def simulate(spec: SystemSpec) -> Trajectory:
         def f(x, y, z):
             return -y - z, x + a * y, b + z * (x - c)
 
-        states = _rk4(f, spec.initial_state, spec.dt, spec.samples, 3)
+        states = _rk4_3(f, spec.initial_state, spec.dt, spec.samples)
         return Trajectory(spec=spec, states=states)
     # double pendulum
     gl = p["g"] / p["l"]
 
+    # The trig results become Python floats (exactly), so the rest runs on
+    # floats, which overflow to inf silently instead of warning.
     def f(th1, th2, w1, w2):
-        c = np.cos(th1 - th2)
-        s = np.sin(th1 - th2)
-        b1 = -3 * s * w2 * w2 - 9 * gl * np.sin(th1)
-        b2 = 3 * s * w1 * w1 - 3 * gl * np.sin(th2)
+        c = float(np.cos(th1 - th2))
+        s = float(np.sin(th1 - th2))
+        b1 = -3 * s * w2 * w2 - 9 * gl * float(np.sin(th1))
+        b2 = 3 * s * w1 * w1 - 3 * gl * float(np.sin(th2))
         det = 16 - 9 * c * c
         return w1, w2, (2 * b1 - 3 * c * b2) / det, (8 * b2 - 3 * c * b1) / det
 
-    states = _rk4(f, spec.initial_state, spec.dt, spec.samples, 4)
+    # The sine of an angle that overflowed is NaN; the finiteness check
+    # reports the step, so numpy's invalid-value warning is silenced.
+    with np.errstate(invalid="ignore"):
+        states = _rk4_4(f, spec.initial_state, spec.dt, spec.samples)
     return Trajectory(spec=spec, states=states)
 
 
@@ -282,3 +323,13 @@ def preset(name: str) -> SystemSpec:
     return SystemSpec(
         kind=kind, parameters=params, initial_state=x0, dt=dt, samples=samples
     )
+
+
+def preset_series(name: str, observable: str | None = None):
+    """Simulate a preset and measure it: returns (TimeSeries, observable).
+
+    ``observable`` defaults to the preset kind's default observable.
+    """
+    spec = preset(name)
+    obs = observable or default_observable(spec.kind)
+    return measure(simulate(spec), obs), obs

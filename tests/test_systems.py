@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from delayframe.systems import (
     pendulum_energy,
     preset,
     preset_names,
+    preset_series,
     simulate,
 )
 
@@ -81,9 +84,18 @@ def test_rk4_order():
 
 
 def test_divergence_raises_with_step_index():
-    spec = _lorenz(dt=1.0, samples=50)
-    with pytest.raises(NumericalError, match="step"):
-        simulate(spec)
+    """Each kind stops at the first non-finite state, without a warning."""
+    for kind, state, dt, step in (
+        ("lorenz", (-8.0, 8.0, 27.0), 1.0, 3),
+        ("rossler", (1.0, 1.0, 1.0), 1.0, 4),
+        ("double_pendulum", (0.3, 0.2, 0.0, 0.0), 5.0, 3),
+        # The angles overflow within a step, so the RHS takes sin(inf).
+        ("double_pendulum", (0.3, 0.2, 0.0, 0.0), 8.0, 3),
+    ):
+        spec = SystemSpec(kind=kind, parameters={}, initial_state=state,
+                          dt=dt, samples=200)
+        with pytest.raises(NumericalError, match=f"integration step {step}$"):
+            simulate(spec)
 
 
 def test_pendulum_energy_conservation():
@@ -156,3 +168,76 @@ def test_trajectory_is_deterministic():
     a = simulate(_lorenz(samples=400)).states
     b = simulate(_lorenz(samples=400)).states
     np.testing.assert_array_equal(a, b)
+
+
+def _oracle_rk4(f, state, dt, steps, dim):
+    """The original index-list RK4, kept verbatim as a bit-identity oracle."""
+    out = np.empty((steps, dim))
+    s = state
+    half = 0.5 * dt
+    rng = range(dim)
+    for i in range(steps):
+        out[i] = s
+        k1 = f(*s)
+        k2 = f(*[s[j] + half * k1[j] for j in rng])
+        k3 = f(*[s[j] + half * k2[j] for j in rng])
+        k4 = f(*[s[j] + dt * k3[j] for j in rng])
+        s = tuple(
+            s[j] + dt * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j]) / 6 for j in rng
+        )
+        if not all(math.isfinite(v) for v in s):
+            raise NumericalError(
+                f"state became non-finite at integration step {i + 1}"
+            )
+    return out
+
+
+def _oracle_rhs(spec):
+    """The original right-hand sides (the pendulum on numpy scalars)."""
+    p = spec.parameters
+    if spec.kind == "lorenz":
+        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
+        return lambda x, y, z: (sig * (y - x), x * (rho - z) - y, x * y - beta * z)
+    if spec.kind == "rossler":
+        a, b, c = p["a"], p["b"], p["c"]
+        return lambda x, y, z: (-y - z, x + a * y, b + z * (x - c))
+    gl = p["g"] / p["l"]
+
+    def f(th1, th2, w1, w2):
+        c = np.cos(th1 - th2)
+        s = np.sin(th1 - th2)
+        b1 = -3 * s * w2 * w2 - 9 * gl * np.sin(th1)
+        b2 = 3 * s * w1 * w1 - 3 * gl * np.sin(th2)
+        det = 16 - 9 * c * c
+        return w1, w2, (2 * b1 - 3 * c * b2) / det, (8 * b2 - 3 * c * b1) / det
+
+    return f
+
+
+@pytest.mark.parametrize("kind, parameters, state, dt", [
+    ("lorenz", {}, (-8.0, 8.0, 27.0), 0.001),
+    ("lorenz", {"rho": 35.0}, (1.5, -2.25, 30.0), 0.004),
+    ("rossler", {}, (1.0, 1.0, 1.0), 0.001),
+    ("rossler", {"c": 9.0}, (-3.0, 2.5, 0.5), 0.01),
+    ("double_pendulum", {}, (np.pi / 2, np.pi / 2, -0.01, -0.005), 0.001),
+    ("double_pendulum", {"g": 9.81}, (2.5, -1.0, 0.7, -1.3), 0.002),
+])
+def test_rk4_bit_identical_to_index_list_oracle(kind, parameters, state, dt):
+    spec = SystemSpec(kind=kind, parameters=parameters, initial_state=state,
+                      dt=dt, samples=3000)
+    expected = _oracle_rk4(_oracle_rhs(spec), spec.initial_state, spec.dt,
+                           spec.samples, len(spec.initial_state))
+    assert np.array_equal(simulate(spec).states, expected)
+
+
+def test_preset_series_measures_the_default_observable():
+    series, obs = preset_series("pendulum_short")
+    assert obs == "sin_theta1"
+    np.testing.assert_array_equal(
+        series.values,
+        measure(simulate(preset("pendulum_short")), "sin_theta1").values,
+    )
+    series, obs = preset_series("pendulum_short", "sin_theta2")
+    assert obs == "sin_theta2"
+    with pytest.raises(ParameterError, match="observable"):
+        preset_series("lorenz_short", "sin_theta1")
