@@ -36,8 +36,6 @@ from .models import (
     DelayModel,
     FitConfig,
     fit,
-    fit_havok,
-    fit_shavok,
     forcing_signal,
     log_mapped_spectrum,
     reconstruct,
@@ -59,8 +57,6 @@ __all__ = [
     "build_hankel",
     "center_hankel",
     "fit",
-    "fit_havok",
-    "fit_shavok",
     "forcing_signal",
     "log_mapped_spectrum",
     "reconstruct",

@@ -96,7 +96,7 @@ def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
     """Subtract the central row, keeping it for later geometry.
 
     Requires an odd number of delays so "central" is unambiguous; with an
-    even count, drop one sample from the series and rebuild.
+    even count, use an odd one or leave the matrix uncentered.
     """
     if not isinstance(embedding, HankelEmbedding):
         raise ParameterError(
@@ -107,7 +107,7 @@ def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
     if embedding.delays % 2 == 0:
         raise ParameterError(
             f"centering needs an odd delay count, got {embedding.delays}; "
-            "drop one sample from the series and rebuild"
+            "use an odd number of delays or turn centering off"
         )
     mid = (embedding.delays - 1) // 2
     center = embedding.matrix[mid].copy()

@@ -42,6 +42,12 @@ __all__ = [
 # that thin_svd factorizes through the Gram matrix; below it the dense SVD runs.
 _GRAM_FLOOR = 1e-12
 
+# pseudo_inverse treats singular values below this fraction of sigma_1 as
+# zero; gram_schmidt drops a vector whose residual falls below this
+# fraction of its input norm.
+_PINV_RTOL = 1e-12
+_GS_DROP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SvdTriple:
@@ -147,21 +153,19 @@ def _gram_ritz_svd(h, rank):
     return u, s, y @ wt.T
 
 
-def pseudo_inverse(a, rel_tol: float = 1e-12) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rel_tol * sigma_1`` are treated as zero, so a
+    Singular values below ``1e-12 * sigma_1`` are treated as zero, so a
     zero matrix maps to the (transposed-shape) zero matrix rather than
     raising.
     """
     a = as_matrix(a)
-    if not rel_tol > 0.0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    cutoff = rel_tol * s[0] if s[0] > 0.0 else 0.0
+    cutoff = _PINV_RTOL * s[0] if s[0] > 0.0 else 0.0
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
@@ -190,14 +194,15 @@ def eigen_nonsymmetric(a) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=vecs)
 
 
-def gram_schmidt(vectors, drop_tol: float = 1e-12):
+def gram_schmidt(vectors):
     """Modified Gram-Schmidt with explicit reporting of dropped inputs.
+
+    Vectors whose residual after projection falls below ``1e-12`` times
+    their input norm are dropped, not normalized.
 
     Parameters
     ----------
     vectors : sequence of 1-d arrays, or a 2-d array of row vectors.
-    drop_tol : vectors whose residual after projection falls below
-        ``drop_tol`` times their input norm are dropped, not normalized.
 
     Returns
     -------
@@ -209,8 +214,6 @@ def gram_schmidt(vectors, drop_tol: float = 1e-12):
     DegenerateInputError
         If an input vector is exactly zero; the message names its index.
     """
-    if not drop_tol > 0.0:
-        raise ParameterError(f"drop_tol must be positive, got {drop_tol}")
     arr = [np.asarray(v, dtype=float) for v in vectors]
     if not arr:
         raise ParameterError("gram_schmidt needs at least one vector")
@@ -234,7 +237,7 @@ def gram_schmidt(vectors, drop_tol: float = 1e-12):
         for q in basis:
             w -= (q @ w) * q
         norm_out = float(np.linalg.norm(w))
-        if norm_out < drop_tol * norm_in:
+        if norm_out < _GS_DROP_TOL * norm_in:
             dropped.append(i)
             continue
         basis.append(w / norm_out)

@@ -1,18 +1,19 @@
 """Linear delay-coordinate models fit on Hankel singular vectors.
 
-Two fitting procedures are provided. The single-decomposition variant
-(``havok``) takes one SVD of the centered Hankel matrix and regresses
-time-shifted rows of V^T against each other; its regressors are one basis
-expressed at two times, so the fitted matrix picks up a systematic
-symmetric distortion. The split variant (``shavok``) decomposes the two
-time-shifted column halves separately, giving each side of the regression
-its own orthonormal basis; the result is markedly closer to the
-skew-symmetric tridiagonal generator the underlying geometry predicts.
+One pipeline, ``fit``, serves both methods of the paper; they differ only
+in where the regression's two bases come from. The single-decomposition
+method (``havok``) takes one SVD of the centered Hankel matrix and
+regresses time-shifted rows of V^T against each other; its regressors are
+one basis expressed at two times, so the fitted matrix picks up a
+systematic symmetric distortion. The split method (``shavok``) decomposes
+the two time-shifted column halves separately, giving each side of the
+regression its own orthonormal basis; the result is markedly closer to
+the skew-symmetric tridiagonal generator the underlying geometry predicts.
 
-Both support an optional scalar forcing term: the state keeps the first
-r - 1 delay coordinates and the r-th acts as an exogenous input, which is
-the standard closure for chaotic systems that a finite-rank linear model
-cannot capture.
+Both methods support an optional scalar forcing term: the state keeps the
+first r - 1 delay coordinates and the r-th acts as an exogenous input,
+which is the standard closure for chaotic systems that a finite-rank
+linear model cannot capture.
 
 Sign conventions: on top of the per-vector SVD sign fix, fitted models are
 canonicalized by flipping singular pairs so the superdiagonal of the
@@ -29,14 +30,13 @@ import numpy as np
 
 from .embedding import TimeSeries, build_hankel, center_hankel, split_shift
 from .errors import DegenerateRankError, ParameterError
+from .geometry import central_difference
 from .linalg import Spectrum, SvdTriple, eigen_nonsymmetric, pseudo_inverse, thin_svd
 
 __all__ = [
     "FitConfig",
     "DelayModel",
     "fit",
-    "fit_havok",
-    "fit_shavok",
     "log_mapped_spectrum",
     "reconstruct",
     "forcing_signal",
@@ -138,10 +138,10 @@ def _resolve_dt(x: TimeSeries, config: FitConfig) -> float:
 
 
 def _check_arguments(x, config):
-    if not isinstance(x, TimeSeries):
-        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
     if not isinstance(config, FitConfig):
         raise ParameterError(f"expected a FitConfig, got {type(config).__name__}")
+    if not isinstance(x, TimeSeries):
+        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
     columns = len(x) - config.delays + 1
     if config.delays > len(x):
         raise ParameterError(
@@ -169,11 +169,6 @@ def _guarded_svd(matrix, rank, state_dim):
             f"{svd.sigma[state_dim - 1] / svd.sigma[0]:.3e}"
         )
     return svd
-
-
-def _speed_from_center(center_row, dt):
-    d = (center_row[2:] - center_row[:-2]) / (2.0 * dt)
-    return float(np.linalg.norm(d))
 
 
 def _band_orientation(a_ext):
@@ -211,36 +206,45 @@ def _regress(v1_full, v2_state, dt, state_dim, scheme):
     return ext_discrete, ext_continuous
 
 
-def _assemble(ext_discrete, ext_continuous, basis, dt, t0, speed, config,
-              v1_full, v2_state, forcing_row):
+def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
+              speed, config):
+    """Band-orient the regression's extended matrices and build the model.
+
+    The residual is taken in the regression's own frame. The orientation
+    then multiplies rows and columns by exact signs, which leaves every
+    column norm of the prediction error unchanged.
+    """
     state_dim = config.state_dim
-    a_discrete = ext_discrete[:, :state_dim].copy()
-    a_continuous = ext_continuous[:, :state_dim].copy()
+    predicted = ext_discrete[:, :state_dim].copy() @ v1_full[:state_dim]
     if config.forcing:
-        sigma_r = float(basis.sigma[config.rank - 1])
+        sigma_r = float(svd.sigma[config.rank - 1])
         if sigma_r <= 0.0:
             raise DegenerateRankError(
                 "forcing direction has zero singular value"
             )
+        predicted += np.outer(
+            ext_discrete[:, state_dim] / sigma_r, sigma_r * v1_full[-1]
+        )
+    residual = float(np.max(np.linalg.norm(v2_state - predicted, axis=0)))
+    signs = _band_orientation(ext_discrete)
+    row, col = signs[:state_dim, None], signs[None, :]
+    ext_discrete, ext_continuous = row * ext_discrete * col, row * ext_continuous * col
+    a_continuous = ext_continuous[:, :state_dim].copy()
+    b_discrete = b_continuous = None
+    if config.forcing:
         # The regression sees the unit-norm row v_r; the stored vectors
         # are rescaled so that b pairs with the physical-amplitude
         # forcing signal sigma_r * v_r.
-        b_discrete = ext_discrete[:, state_dim].copy() / sigma_r
-        b_continuous = ext_continuous[:, state_dim].copy() / sigma_r
-        predicted = a_discrete @ v1_full[:state_dim] + np.outer(
-            b_discrete, sigma_r * forcing_row
-        )
-    else:
-        b_discrete = None
-        b_continuous = None
-        predicted = a_discrete @ v1_full
-    residual = float(np.max(np.linalg.norm(v2_state - predicted, axis=0)))
+        b_discrete = ext_discrete[:, state_dim] / sigma_r
+        b_continuous = ext_continuous[:, state_dim] / sigma_r
     return DelayModel(
-        a_discrete=a_discrete,
+        a_discrete=ext_discrete[:, :state_dim].copy(),
         a_continuous=a_continuous,
         b_discrete=b_discrete,
         b_continuous=b_continuous,
-        basis=basis,
+        basis=SvdTriple(
+            u=svd.u * signs, sigma=svd.sigma, v=svd.v * signs, rank=config.rank
+        ),
         spectrum=eigen_nonsymmetric(a_continuous),
         config=config,
         dt=dt,
@@ -251,103 +255,47 @@ def _assemble(ext_discrete, ext_continuous, basis, dt, t0, speed, config,
 
 
 def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
-    """Dispatch to fit_havok or fit_shavok on config.method."""
-    if not isinstance(config, FitConfig):
-        raise ParameterError(f"expected a FitConfig, got {type(config).__name__}")
-    if config.method == "havok":
-        return fit_havok(x, config)
-    return fit_shavok(x, config)
+    """Fit a linear model in delay coordinates.
 
-
-def fit_havok(x: TimeSeries, config: FitConfig) -> DelayModel:
-    """Single-decomposition fit on the (optionally centered) Hankel matrix.
-
-    One SVD supplies the reduced trajectory V^T; the dynamics matrix is
-    the least-squares map from its columns 1..n-1 to the state rows of
-    columns 2..n. With forcing, the regressors keep all rank rows while
-    the response keeps the first rank - 1, so the last column of the
-    extended solution is the forcing coupling.
+    One pipeline serves both methods: build the Hankel matrix (centered
+    on request), take the bases, regress, orient the band. The regression
+    maps the reduced coordinates of columns 1..n-1 (all rank rows) to the
+    state rows of columns 2..n; with forcing, the last column of its
+    solution is the forcing coupling. ``config.method`` picks only where
+    the two bases come from: ``havok`` reads one SVD's V^T at two shifts,
+    ``shavok`` takes one SVD of each shifted column half (ranks r and
+    state_dim), the second sign-aligned to the first.
     """
     _check_arguments(x, config)
-    if config.method != "havok":
-        raise ParameterError(f"fit_havok requires method 'havok', got {config.method!r}")
     dt = _resolve_dt(x, config)
     embedding = build_hankel(x, config.delays)
     speed = None
     if config.centering:
         embedding = center_hankel(embedding)
-        speed = _speed_from_center(embedding.center_row, dt)
-    svd = _guarded_svd(embedding.matrix, config.rank, config.state_dim)
-    vt = svd.v.T.copy()
-    u = svd.u.copy()
+        speed = float(np.linalg.norm(central_difference(embedding.center_row, dt)))
     state_dim = config.state_dim
-    v1_full = vt[:, :-1]
-    v2_state = vt[:state_dim, 1:]
+    if config.method == "havok":
+        svd = _guarded_svd(embedding.matrix, config.rank, state_dim)
+        vt = svd.v.T.copy()
+        v1_full, v2_state = vt[:, :-1], vt[:state_dim, 1:]
+    else:
+        first, second = split_shift(embedding)
+        svd = _guarded_svd(first.matrix, config.rank, state_dim)
+        second_svd = _guarded_svd(second.matrix, state_dim, state_dim)
+        v1_full = svd.v.T.copy()
+        v2_state = second_svd.v.T.copy()
+        # The halves are nearly identical, so matched singular pairs should
+        # point the same way; realign the second basis where they do not.
+        for j in range(state_dim):
+            if float(svd.u[:, j] @ second_svd.u[:, j]) < 0.0:
+                v2_state[j] = -v2_state[j]
     ext_discrete, ext_continuous = _regress(
         v1_full, v2_state, dt, state_dim, config.derivative_scheme
     )
-    signs = _band_orientation(ext_discrete)
-    vt *= signs[:, None]
-    u *= signs[None, :]
-    ext_discrete = signs[:state_dim, None] * ext_discrete * signs[None, :]
-    ext_continuous = signs[:state_dim, None] * ext_continuous * signs[None, :]
-    basis = SvdTriple(u=u, sigma=svd.sigma, v=vt.T.copy(), rank=config.rank)
     t0 = x.t0 + 0.5 * (config.delays - 1) * dt
     return _assemble(
-        ext_discrete, ext_continuous, basis, dt, t0, speed, config,
-        vt[:, :-1], vt[:state_dim, 1:], vt[config.rank - 1, :-1],
-    )
-
-
-def fit_shavok(x: TimeSeries, config: FitConfig) -> DelayModel:
-    """Split-decomposition fit: separate SVDs for the two Hankel halves.
-
-    The centered matrix is split into columns 1..n-1 and 2..n, each half
-    gets its own SVD (ranks r and r, or r and r-1 with forcing), the
-    second basis is sign-aligned to the first, and the dynamics matrix is
-    V2^T V1. Because the first half's right singular vectors are
-    orthonormal, that product is already the least-squares solution.
-    """
-    _check_arguments(x, config)
-    if config.method != "shavok":
-        raise ParameterError(
-            f"fit_shavok requires method 'shavok', got {config.method!r}"
-        )
-    dt = _resolve_dt(x, config)
-    embedding = build_hankel(x, config.delays)
-    speed = None
-    if config.centering:
-        embedding = center_hankel(embedding)
-        speed = _speed_from_center(embedding.center_row, dt)
-    first, second = split_shift(embedding)
-    state_dim = config.state_dim
-    svd1 = _guarded_svd(first.matrix, config.rank, state_dim)
-    svd2 = _guarded_svd(second.matrix, state_dim, state_dim)
-    u1 = svd1.u.copy()
-    v1t = svd1.v.T.copy()
-    u2 = svd2.u.copy()
-    v2t = svd2.v.T.copy()
-    # The halves are nearly identical, so matched singular pairs should
-    # point the same way; realign the second basis where they do not.
-    for j in range(state_dim):
-        if float(u1[:, j] @ u2[:, j]) < 0.0:
-            u2[:, j] = -u2[:, j]
-            v2t[j] = -v2t[j]
-    ext_discrete, ext_continuous = _regress(
-        v1t, v2t, dt, state_dim, config.derivative_scheme
-    )
-    signs = _band_orientation(ext_discrete)
-    v1t *= signs[:, None]
-    u1 *= signs[None, :]
-    v2t *= signs[:state_dim, None]
-    u2 *= signs[None, :state_dim]
-    ext_discrete = signs[:state_dim, None] * ext_discrete * signs[None, :]
-    ext_continuous = signs[:state_dim, None] * ext_continuous * signs[None, :]
-    basis = SvdTriple(u=u1, sigma=svd1.sigma, v=v1t.T.copy(), rank=config.rank)
-    t0 = x.t0 + 0.5 * (config.delays - 1) * dt
-    return _assemble(
-        ext_discrete, ext_continuous, basis, dt, t0, speed, config,
-        v1t, v2t, v1t[config.rank - 1],
+        ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0, speed,
+        config,
     )
 
 

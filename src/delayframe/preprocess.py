@@ -28,13 +28,11 @@ __all__ = ["SplineModel", "spline_fit", "resample", "trim_series"]
 class SplineModel:
     """Natural cubic spline through uniformly spaced samples.
 
-    ``coefficients[i]`` holds the cubic's coefficients on knot interval i,
-    highest degree first, in the local variable (t - knots[i]).
+    ``knots`` are the sample times; ``evaluate`` reads the spline and its
+    derivatives between the first and the last of them.
     """
 
     knots: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
-    boundary: str = "natural"
     _spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def evaluate(self, t, order: int = 0) -> np.ndarray:
@@ -66,9 +64,7 @@ def spline_fit(x: TimeSeries) -> SplineModel:
 
     knots = x.times
     cs = CubicSpline(knots, x.values, bc_type="natural")
-    return SplineModel(
-        knots=knots, coefficients=cs.c.T.copy(), boundary="natural", _spline=cs
-    )
+    return SplineModel(knots=knots, _spline=cs)
 
 
 def resample(model: SplineModel, dt_new: float) -> TimeSeries:

@@ -95,7 +95,8 @@ def test_center_hankel_subtracts_central_row():
 def test_center_hankel_requires_odd_delays():
     x = _series(np.arange(12.0))
     emb = build_hankel(x, 4)
-    with pytest.raises(ParameterError, match="drop one sample"):
+    hint = "use an odd number of delays or turn centering off"
+    with pytest.raises(ParameterError, match=hint):
         center_hankel(emb)
 
 

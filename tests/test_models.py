@@ -7,7 +7,7 @@ from delayframe import diagnostics, models, systems
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DegenerateRankError, ParameterError
 from delayframe.linalg import SvdTriple
-from delayframe.models import FitConfig, fit, fit_havok, fit_shavok
+from delayframe.models import FitConfig, fit
 
 
 def _two_tone_segment(columns, delays=41, dt=0.001):
@@ -57,16 +57,6 @@ def test_too_few_columns():
         fit(x, FitConfig(delays=41, rank=4, forcing=False))
 
 
-def test_method_dispatch(two_tone, two_tone_models):
-    cfg = FitConfig(delays=41, rank=4, method="shavok", forcing=False)
-    direct = fit_shavok(two_tone, cfg)
-    np.testing.assert_array_equal(
-        direct.a_discrete, two_tone_models["shavok"].a_discrete
-    )
-    with pytest.raises(ParameterError):
-        fit_havok(two_tone, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Shapes, conventions, guards
 
@@ -104,6 +94,28 @@ def test_basis_is_the_rank_r_svd_triple(two_tone, two_tone_models):
         assert isinstance(m.basis, SvdTriple)
         assert m.basis.rank == m.config.rank == m.basis.sigma.shape[0]
         assert m.basis.u.shape == (41, m.config.rank)
+
+
+@pytest.mark.parametrize("method", ["havok", "shavok"])
+@pytest.mark.parametrize("forcing", [True, False])
+@pytest.mark.parametrize("centering", [True, False])
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+def test_pipeline_conventions(method, forcing, centering, scheme):
+    n = 2001
+    x = _two_tone_segment(columns=n)
+    cfg = FitConfig(delays=41, rank=5 if forcing else 4, centering=centering,
+                    forcing=forcing, method=method, derivative_scheme=scheme)
+    m = fit(x, cfg)
+    # havok's basis spans all n columns; shavok's is the first half's.
+    assert m.basis.v.shape[0] == (n if method == "havok" else n - 1)
+    assert (m.speed is None) == (not centering)
+    assert np.all(np.diag(m.a_continuous, 1) >= 0.0)
+    for b in (m.b_discrete, m.b_continuous):
+        assert (b.shape == (cfg.state_dim,)) if forcing else b is None
+    np.testing.assert_allclose(
+        m.a_discrete, np.eye(cfg.state_dim) + m.dt * m.a_continuous,
+        rtol=1e-12, atol=1e-12,
+    )
 
 
 def test_superdiagonal_orientation(two_tone_models):
