@@ -12,8 +12,7 @@ Typical use::
 
     from delayframe import systems, models
 
-    series = systems.measure(
-        systems.simulate(systems.preset("lorenz_short")), "x")
+    series, _ = systems.preset_series("lorenz_short")
     model = models.fit(series, models.FitConfig(delays=101, rank=5))
 """
 

@@ -18,7 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -132,20 +132,10 @@ def _complex_pairs(w):
 
 
 def _config_echo(cfg: PipelineConfig, dt: float) -> dict:
-    fit = cfg.fit
-    return {
-        "input": cfg.input,
-        "observable": cfg.observable,
-        "delays": fit.delays,
-        "rank": fit.rank,
-        "dt": dt,
-        "centering": fit.centering,
-        "forcing": fit.forcing,
-        "method": fit.method,
-        "derivative_scheme": fit.derivative_scheme,
-        "dt_resample": cfg.dt_resample,
-        "trim": cfg.trim,
-    }
+    """The run's settings, flat: the pipeline's, the fit's and the step used."""
+    echo = asdict(cfg)
+    echo.update(echo.pop("fit"), dt=dt)
+    return echo
 
 
 def _model_payload(model: models.DelayModel, echo: dict) -> dict:
@@ -197,12 +187,8 @@ def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
     p = model.state_dim
     r = model.config.rank
     forced = model.b_discrete is not None
-    if forced:
-        forcing = models.forcing_signal(model).values
-        rollout = models.reconstruct(model, v[0, :p], v.shape[0], forcing)
-    else:
-        forcing = None
-        rollout = models.reconstruct(model, v[0, :p], v.shape[0])
+    forcing = models.forcing_signal(model).values if forced else None
+    rollout = models.reconstruct(model, v[0, :p], v.shape[0], forcing)
     header = ["time"] + [f"v{i + 1}" for i in range(r)]
     if forced:
         header.append("forcing")

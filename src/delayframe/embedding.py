@@ -52,22 +52,26 @@ class TimeSeries:
 class HankelEmbedding:
     """Delay matrix with entry (i, j) = x[i + j].
 
-    Rows walk the delay axis (length ``delays``), columns the time axis.
-    Column j covers the window starting at ``t0 + j * dt``. When
-    ``centered`` is true the central row has been subtracted and is kept
-    in ``center_row``; an embedding is centered exactly once.
+    Rows walk the delay axis, columns the time axis; column j is the
+    window starting at sample j of the series it was built from. A
+    centered embedding has had its central row subtracted and keeps it in
+    ``center_row``; an embedding is centered exactly once.
     """
 
     matrix: np.ndarray = field(repr=False)
-    delays: int
-    dt: float
-    t0: float
-    centered: bool = False
     center_row: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def delays(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def columns(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def centered(self) -> bool:
+        return self.center_row is not None
 
 
 def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
@@ -87,9 +91,7 @@ def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
         )
     width = n_samples - delays + 1
     matrix = sliding_window_view(x.values, width).astype(float, copy=True)
-    return HankelEmbedding(
-        matrix=matrix, delays=int(delays), dt=x.dt, t0=x.t0, centered=False
-    )
+    return HankelEmbedding(matrix=matrix)
 
 
 def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
@@ -111,23 +113,16 @@ def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
         )
     mid = (embedding.delays - 1) // 2
     center = embedding.matrix[mid].copy()
-    return HankelEmbedding(
-        matrix=embedding.matrix - center,
-        delays=embedding.delays,
-        dt=embedding.dt,
-        t0=embedding.t0,
-        centered=True,
-        center_row=center,
-    )
+    return HankelEmbedding(matrix=embedding.matrix - center, center_row=center)
 
 
 def split_shift(embedding: HankelEmbedding):
     """Split into the (all-but-last, all-but-first) column submatrices.
 
-    The two halves cover the same window shifted by one sample; the second
-    half's time origin advances by ``dt``. Centering metadata is inherited,
-    with the stored center row trimmed to match. The halves' matrices and
-    center rows are read-only column views of the parent, not copies.
+    The two halves cover the same windows shifted by one sample. A
+    centered parent gives centered halves, each with the stored center row
+    trimmed to match. The halves' matrices and center rows are read-only
+    column views of the parent, not copies.
     """
     if not isinstance(embedding, HankelEmbedding):
         raise ParameterError(
@@ -140,18 +135,10 @@ def split_shift(embedding: HankelEmbedding):
     center = embedding.center_row
     first = HankelEmbedding(
         matrix=_read_only(embedding.matrix[:, :-1]),
-        delays=embedding.delays,
-        dt=embedding.dt,
-        t0=embedding.t0,
-        centered=embedding.centered,
         center_row=None if center is None else _read_only(center[:-1]),
     )
     second = HankelEmbedding(
         matrix=_read_only(embedding.matrix[:, 1:]),
-        delays=embedding.delays,
-        dt=embedding.dt,
-        t0=embedding.t0 + embedding.dt,
-        centered=embedding.centered,
         center_row=None if center is None else _read_only(center[1:]),
     )
     return first, second

@@ -44,19 +44,17 @@ _PIVOT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FrenetApparatus:
-    """Moving frame plus optional curvature data.
+    """Moving frame of a curve at one point.
 
-    ``frame`` holds the orthonormal vectors e1..er in order; ``dropped``
-    lists indices of input derivatives that were linearly dependent and
-    contributed no frame vector. ``curvatures`` and ``k_matrix`` are None
-    when only the frame was computed.
+    ``frame`` holds the orthonormal vectors e1..er in order; ``speed`` is
+    the norm of the first derivative; ``dropped`` lists indices of input
+    derivatives that were linearly dependent and contributed no frame
+    vector.
     """
 
     frame: tuple
     speed: float
     dropped: tuple = ()
-    curvatures: tuple | None = None
-    k_matrix: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -65,11 +63,21 @@ class FrenetApparatus:
 
 @dataclass(frozen=True)
 class PolynomialBasis:
-    """Sampled orthonormal polynomials on the centered grid {-p..p}."""
+    """Sampled orthonormal polynomials on the centered grid {-p..p}.
+
+    Column k of ``vectors`` (shape (2p + 1, degree)) is the polynomial of
+    degree k + 1.
+    """
 
     vectors: np.ndarray = field(repr=False)
-    degrees: tuple
-    half_width: int
+
+    @property
+    def degrees(self) -> tuple:
+        return tuple(range(1, self.vectors.shape[1] + 1))
+
+    @property
+    def half_width(self) -> int:
+        return (self.vectors.shape[0] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -387,11 +395,7 @@ def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
     """
     p, grid = _centered_grid(delays, degree, max_degree=5)
     cols = _closed_form_columns(p, degree, grid)
-    return PolynomialBasis(
-        vectors=np.column_stack(cols),
-        degrees=tuple(range(1, degree + 1)),
-        half_width=p,
-    )
+    return PolynomialBasis(vectors=np.column_stack(cols))
 
 
 def monomial_orthobasis(delays: int, degree: int) -> PolynomialBasis:
@@ -401,7 +405,7 @@ def monomial_orthobasis(delays: int, degree: int) -> PolynomialBasis:
     are defined. Orthogonality holds numerically rather than by closed
     form.
     """
-    p, grid = _centered_grid(delays, degree)
+    _, grid = _centered_grid(delays, degree)
     monomials = [grid**k for k in range(1, degree + 1)]
     basis, dropped = gram_schmidt(monomials)
     if dropped:
@@ -411,11 +415,7 @@ def monomial_orthobasis(delays: int, degree: int) -> PolynomialBasis:
     # Sign convention: leading (highest-n) entry positive, matching the
     # closed forms, whose leading coefficient is positive.
     cols = [q if q[-1] >= 0.0 else -q for q in basis]
-    return PolynomialBasis(
-        vectors=np.column_stack(cols),
-        degrees=tuple(range(1, degree + 1)),
-        half_width=p,
-    )
+    return PolynomialBasis(vectors=np.column_stack(cols))
 
 
 def curvatures_from_model(a_continuous, speed: float) -> ModelCurvatures:

@@ -60,7 +60,10 @@ class SvdTriple:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def thin_svd(a, rank: int) -> SvdTriple:
         if u[k, j] < 0.0:
             u[:, j] = -u[:, j]
             vt[j] = -vt[j]
-    return SvdTriple(u=u, sigma=s, v=vt.T.copy(), rank=int(rank))
+    return SvdTriple(u=u, sigma=s, v=vt.T.copy())
 
 
 def _gram_ritz_svd(h, rank):

@@ -51,15 +51,14 @@ _RANK_TOL = 1e-12
 class FitConfig:
     """Everything that determines a fit besides the data itself.
 
-    ``dt`` may be left None to take the series' own step; if both are
-    given they must agree. ``rank`` counts retained singular vectors; with
-    ``forcing`` on, the model state is the first rank - 1 coordinates and
-    the last one drives them.
+    The sampling step is the series' own ``dt``, so it is not set here.
+    ``rank`` counts retained singular vectors; with ``forcing`` on, the
+    model state is the first rank - 1 coordinates and the last one drives
+    them.
     """
 
     delays: int
     rank: int
-    dt: float | None = None
     centering: bool = True
     forcing: bool = True
     method: str = "havok"
@@ -76,8 +75,6 @@ class FitConfig:
             raise ParameterError(
                 f"rank must be in [2, delays={self.delays}], got {self.rank}"
             )
-        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         if self.method not in ("havok", "shavok"):
             raise ParameterError(
                 f"method must be 'havok' or 'shavok', got {self.method!r}"
@@ -125,16 +122,6 @@ class DelayModel:
     @property
     def state_dim(self) -> int:
         return self.a_discrete.shape[0]
-
-
-def _resolve_dt(x: TimeSeries, config: FitConfig) -> float:
-    if config.dt is None:
-        return x.dt
-    if abs(config.dt - x.dt) > 1e-9 * max(config.dt, x.dt):
-        raise ParameterError(
-            f"config dt = {config.dt} disagrees with the series dt = {x.dt}"
-        )
-    return x.dt
 
 
 def _check_arguments(x, config):
@@ -242,9 +229,7 @@ def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
         a_continuous=a_continuous,
         b_discrete=b_discrete,
         b_continuous=b_continuous,
-        basis=SvdTriple(
-            u=svd.u * signs, sigma=svd.sigma, v=svd.v * signs, rank=config.rank
-        ),
+        basis=SvdTriple(u=svd.u * signs, sigma=svd.sigma, v=svd.v * signs),
         spectrum=eigen_nonsymmetric(a_continuous),
         config=config,
         dt=dt,
@@ -267,7 +252,7 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     state_dim), the second sign-aligned to the first.
     """
     _check_arguments(x, config)
-    dt = _resolve_dt(x, config)
+    dt = x.dt
     embedding = build_hankel(x, config.delays)
     speed = None
     if config.centering:

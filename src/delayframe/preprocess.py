@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 
 __all__ = ["SplineModel", "spline_fit", "resample", "trim_series"]
 
+# The most float64 samples numpy can index in one array.
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 @dataclass(frozen=True)
 class SplineModel:
@@ -80,21 +83,28 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
         raise ParameterError(f"dt_new must be positive and finite, got {dt_new}")
     start = float(model.knots[0])
     span = float(model.knots[-1]) - start
-    count = int(np.floor(span / dt_new * (1.0 + 1e-12))) + 1
-    if count < 2:
+    steps = np.floor(span / dt_new * (1.0 + 1e-12))
+    if steps < 1.0:
         raise ParameterError(
             f"dt_new = {dt_new} exceeds the knot span {span}; nothing to sample"
         )
+    # A grid longer than numpy can index (or an infinite one) is rejected
+    # before anything is allocated; a shorter one may still not fit.
+    indexable = steps < _MAX_SAMPLES
+    count = int(steps) + 1 if indexable else float(steps)
+    too_large = (
+        f"dt_new = {dt_new} asks for {count} samples over the knot span "
+        f"{span}; that grid does not fit in memory"
+    )
+    if not indexable:
+        raise ParameterError(too_large)
     try:
         t = start + dt_new * np.arange(count)
         # Roundoff can push the last point a hair past the final knot.
         t[-1] = min(t[-1], model.knots[-1])
         values = model.evaluate(t)
     except MemoryError as exc:
-        raise ParameterError(
-            f"dt_new = {dt_new} asks for {count} samples over the knot span "
-            f"{span}; that grid does not fit in memory"
-        ) from exc
+        raise ParameterError(too_large) from exc
     return TimeSeries(t0=start, dt=float(dt_new), values=values)
 
 

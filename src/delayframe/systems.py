@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,23 +44,32 @@ __all__ = [
     "pendulum_energy",
 ]
 
-_KINDS = ("two_tone", "lorenz", "rossler", "double_pendulum")
 
-_DEFAULT_PARAMETERS = {
-    "two_tone": {},
-    "lorenz": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-    "rossler": {"a": 0.1, "b": 0.1, "c": 14.0},
-    "double_pendulum": {"m": 1.0, "l": 1.0, "g": 10.0},
+class _Kind(NamedTuple):
+    """What a system kind accepts: parameter defaults, the length of its
+    initial state, and its observables (the first is the default)."""
+
+    parameters: dict
+    state_dim: int
+    observables: tuple
+
+
+_SYSTEMS = {
+    "two_tone": _Kind({}, 0, ("x",)),
+    "lorenz": _Kind({"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, 3, ("x",)),
+    "rossler": _Kind({"a": 0.1, "b": 0.1, "c": 14.0}, 3, ("x",)),
+    "double_pendulum": _Kind(
+        {"m": 1.0, "l": 1.0, "g": 10.0}, 4, ("sin_theta1", "sin_theta2")
+    ),
 }
 
-_STATE_DIM = {"two_tone": 0, "lorenz": 3, "rossler": 3, "double_pendulum": 4}
 
-_OBSERVABLES = {
-    "two_tone": ("x",),
-    "lorenz": ("x",),
-    "rossler": ("x",),
-    "double_pendulum": ("sin_theta1", "sin_theta2"),
-}
+def _kind(kind: str) -> _Kind:
+    if kind not in _SYSTEMS:
+        raise ParameterError(
+            f"unknown system kind {kind!r}; choose from {tuple(_SYSTEMS)}"
+        )
+    return _SYSTEMS[kind]
 
 
 @dataclass(frozen=True)
@@ -73,11 +83,7 @@ class SystemSpec:
     samples: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(
-                f"unknown system kind {self.kind!r}; choose from {_KINDS}"
-            )
-        defaults = _DEFAULT_PARAMETERS[self.kind]
+        defaults, state_dim, _ = _kind(self.kind)
         params = dict(self.parameters)
         unknown = sorted(set(params) - set(defaults))
         if unknown:
@@ -91,10 +97,10 @@ class SystemSpec:
             if not math.isfinite(merged[k]):
                 raise ParameterError(f"parameter {k!r} must be finite, got {v}")
         state = tuple(float(v) for v in self.initial_state)
-        if len(state) != _STATE_DIM[self.kind]:
+        if len(state) != state_dim:
             raise ParameterError(
                 f"{self.kind} needs an initial state of length "
-                f"{_STATE_DIM[self.kind]}, got {len(state)}"
+                f"{state_dim}, got {len(state)}"
             )
         if not all(math.isfinite(v) for v in state):
             raise ParameterError("initial state must be finite")
@@ -234,9 +240,7 @@ def simulate(spec: SystemSpec) -> Trajectory:
 
 def observables_for(kind: str):
     """Valid observable names for a system kind."""
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown system kind {kind!r}; choose from {_KINDS}")
-    return _OBSERVABLES[kind]
+    return _kind(kind).observables
 
 
 def default_observable(kind: str) -> str:
@@ -255,7 +259,7 @@ def measure(trajectory: Trajectory, observable: str) -> TimeSeries:
             f"expected a Trajectory, got {type(trajectory).__name__}"
         )
     kind = trajectory.spec.kind
-    valid = _OBSERVABLES[kind]
+    valid = _SYSTEMS[kind].observables
     if observable not in valid:
         raise ParameterError(
             f"observable {observable!r} is not valid for {kind!r}; "

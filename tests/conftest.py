@@ -57,6 +57,6 @@ def dense_svd():
             if u[np.argmax(np.abs(u[:, j])), j] < 0.0:
                 u[:, j] = -u[:, j]
                 v[:, j] = -v[:, j]
-        return SvdTriple(u=u, sigma=s, v=v, rank=rank)
+        return SvdTriple(u=u, sigma=s, v=v)
 
     return factor

@@ -253,14 +253,16 @@ def test_rewrite_replaces_every_artifact(tmp_path):
                              "spectrum.json"]
 
 
-def test_resample_grid_too_large_is_a_config_error(tmp_path, capsys):
-    # 1e16 samples is beyond the address space, so nothing is allocated
+# 1e16 samples is beyond the address space, 1e301 beyond what numpy can
+# index, and 1e-320 asks for infinitely many: nothing is allocated.
+@pytest.mark.parametrize("dt", ["1e-15", "1e-300", "1e-320"])
+def test_resample_grid_too_large_is_a_config_error(tmp_path, capsys, dt):
     out = tmp_path / "o"
-    code = main(["fit", "--input", "two_tone", "--dt-resample", "1e-15",
+    code = main(["fit", "--input", "two_tone", "--dt-resample", dt,
                  "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and "dt_new = 1e-15" in err
+    assert err.startswith("error:") and f"dt_new = {dt}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

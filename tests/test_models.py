@@ -30,8 +30,6 @@ def test_fit_config_validation():
     with pytest.raises(ParameterError):
         FitConfig(delays=10, rank=11)
     with pytest.raises(ParameterError):
-        FitConfig(delays=10, rank=4, dt=-0.1)
-    with pytest.raises(ParameterError):
         FitConfig(delays=10, rank=4, method="dmd")
     with pytest.raises(ParameterError):
         FitConfig(delays=10, rank=4, derivative_scheme="spectral")
@@ -40,15 +38,6 @@ def test_fit_config_validation():
 def test_fit_config_state_dim():
     assert FitConfig(delays=41, rank=5).state_dim == 4
     assert FitConfig(delays=41, rank=5, forcing=False).state_dim == 5
-
-
-def test_dt_conflict_rejected(two_tone):
-    cfg = FitConfig(delays=41, rank=4, dt=0.5, forcing=False)
-    with pytest.raises(ParameterError, match="dt"):
-        fit(two_tone, cfg)
-    # a matching dt is accepted
-    ok = FitConfig(delays=41, rank=4, dt=0.001, forcing=False)
-    assert fit(two_tone, ok).dt == 0.001
 
 
 def test_too_few_columns():
@@ -129,6 +118,32 @@ def test_model_timing(two_tone):
     m = fit(two_tone, FitConfig(delays=41, rank=4, forcing=False))
     assert m.dt == two_tone.dt
     assert m.t0 == pytest.approx(two_tone.t0 + 0.5 * 40 * two_tone.dt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from(["havok", "shavok"]),
+    st.booleans(),
+)
+def test_time_shift_leaves_the_fit_bit_identical(seed, t0, method, forcing):
+    """Moving a series in time moves only the model's t0."""
+    values = np.random.default_rng(seed).standard_normal(60)
+    cfg = FitConfig(delays=7, rank=4, forcing=forcing, method=method)
+    base = fit(TimeSeries(t0=0.0, dt=0.05, values=values), cfg)
+    moved = fit(TimeSeries(t0=t0, dt=0.05, values=values), cfg)
+    for name in ("a_discrete", "a_continuous", "b_discrete", "b_continuous"):
+        a, b = getattr(base, name), getattr(moved, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    for a, b in ((base.basis.u, moved.basis.u),
+                 (base.basis.sigma, moved.basis.sigma),
+                 (base.basis.v, moved.basis.v),
+                 (base.spectrum.eigenvalues, moved.spectrum.eigenvalues),
+                 (base.spectrum.eigenvectors, moved.spectrum.eigenvectors)):
+        assert np.array_equal(a, b)
+    assert (base.speed, base.residual) == (moved.speed, moved.residual)
+    assert moved.t0 == pytest.approx(t0 + 0.5 * (cfg.delays - 1) * 0.05)
 
 
 def test_speed_requires_centering(two_tone):

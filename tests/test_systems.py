@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delayframe.errors import NumericalError, ParameterError
+from delayframe.scenarios import SPECTRA_CONFIGS
 from delayframe.systems import (
     SystemSpec,
     default_observable,
@@ -162,6 +163,17 @@ def test_presets_pinned():
     assert preset("two_tone").dt == 0.001
     with pytest.raises(ParameterError):
         preset("lorenz")
+
+
+def test_short_spectra_presets_are_prefixes_of_their_long_presets():
+    # The short-spectra scenario slices each short series from its long
+    # one instead of simulating it, which holds only while the two specs
+    # differ in nothing but the sample count.
+    for short, long_, *_ in SPECTRA_CONFIGS.values():
+        s, full = preset(short), preset(long_)
+        assert (s.kind, s.parameters, s.initial_state, s.dt) == (
+            full.kind, full.parameters, full.initial_state, full.dt)
+        assert s.samples < full.samples
 
 
 def test_trajectory_is_deterministic():
