@@ -7,7 +7,7 @@ the named verification scenarios. Everything is deterministic; rerunning a
 command overwrites its outputs with byte-identical content.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error.
+error (each error class's ``exit_code``).
 """
 
 from __future__ import annotations
@@ -419,15 +419,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ParameterError as exc:
+    except (ParameterError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

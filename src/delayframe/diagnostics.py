@@ -7,11 +7,12 @@ numbers in [0, 1] where 0 is the ideal structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_positive
 from .linalg import Spectrum, as_matrix
 
 __all__ = [
@@ -37,30 +38,39 @@ class StructureReport:
 @dataclass(frozen=True)
 class SpectrumComparison:
     pair_distances: tuple
-    mean_distance: float
     max_real_part_a: float
     max_real_part_b: float
 
+    @property
+    def mean_distance(self) -> float:
+        return float(np.mean(self.pair_distances))
+
 
 def _square_nonzero(a, caller):
+    """The checked square matrix and its copy scaled so max|a| is in [0.5, 1).
+
+    The scale is a power of two, so it is exact and the scale-free scores
+    read off the copy are those of ``a``, but squaring its entries can
+    neither overflow nor underflow.
+    """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ParameterError(f"{caller} needs a square matrix, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
         raise NumericalError(f"{caller} is undefined for the zero matrix")
-    return a, norm
+    return a, np.ldexp(a, -math.frexp(peak)[1])
 
 
 def antisymmetry_score(a) -> float:
     """||A + A^T||_F / (2 ||A||_F): 0 iff exactly skew, 1 iff symmetric."""
-    a, norm = _square_nonzero(a, "antisymmetry_score")
-    return float(np.linalg.norm(a + a.T) / (2.0 * norm))
+    _, a = _square_nonzero(a, "antisymmetry_score")
+    return float(np.linalg.norm(a + a.T) / (2.0 * np.linalg.norm(a)))
 
 
 def tridiagonality_score(a) -> float:
     """Fraction of Frobenius energy outside the three central diagonals."""
-    a, _ = _square_nonzero(a, "tridiagonality_score")
+    _, a = _square_nonzero(a, "tridiagonality_score")
     band = np.abs(np.arange(a.shape[0])[:, None] - np.arange(a.shape[0])) <= 1
     total = float(np.sum(a * a))
     outside = float(np.sum(a[~band] ** 2))
@@ -69,12 +79,12 @@ def tridiagonality_score(a) -> float:
 
 def structure_report(a) -> StructureReport:
     """Both structure scores plus the band contents and off-band peak."""
-    a, _ = _square_nonzero(a, "structure_report")
+    a, scaled = _square_nonzero(a, "structure_report")
     band = np.abs(np.arange(a.shape[0])[:, None] - np.arange(a.shape[0])) <= 1
     off = a[~band]
     return StructureReport(
-        antisymmetry=antisymmetry_score(a),
-        tridiagonality=tridiagonality_score(a),
+        antisymmetry=antisymmetry_score(scaled),
+        tridiagonality=tridiagonality_score(scaled),
         offband_max=float(np.max(np.abs(off))) if off.size else 0.0,
         superdiagonal=tuple(np.diag(a, 1)),
         subdiagonal=tuple(np.diag(a, -1)),
@@ -100,10 +110,8 @@ def spectrum_distance(a: Spectrum, b: Spectrum) -> SpectrumComparison:
 
     cost = np.abs(wa[:, None] - wb[None, :])
     rows, cols = linear_sum_assignment(cost)
-    pairs = cost[rows, cols]
     return SpectrumComparison(
-        pair_distances=tuple(float(p) for p in pairs),
-        mean_distance=float(np.mean(pairs)),
+        pair_distances=tuple(float(p) for p in cost[rows, cols]),
         max_real_part_a=float(np.max(wa.real)),
         max_real_part_b=float(np.max(wb.real)),
     )
@@ -131,8 +139,7 @@ def sv_decay_report(sigma, eps: float) -> int:
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 1 or s.shape[0] == 0:
         raise ParameterError(f"sigma must be a nonempty 1-d list, got shape {s.shape}")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
+    check_positive("eps", eps)
     if s[0] <= 0.0:
         raise ParameterError("leading singular value must be positive")
     if np.any(np.diff(s) > 0.0):

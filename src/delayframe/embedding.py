@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_instance, check_int, check_positive
 
 __all__ = [
     "TimeSeries",
@@ -34,8 +34,7 @@ class TimeSeries:
             raise ParameterError(f"need at least 2 samples, got {v.shape[0]}")
         if not np.all(np.isfinite(v)):
             raise DataError("values contain non-finite entries")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
+        check_positive("dt", self.dt)
         if not np.isfinite(self.t0):
             raise ParameterError(f"t0 must be finite, got {self.t0}")
         object.__setattr__(self, "values", v)
@@ -80,10 +79,8 @@ def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
     A series of length N yields a ``delays x (N - delays + 1)`` matrix, so
     every sample is used and each anti-diagonal is constant.
     """
-    if not isinstance(x, TimeSeries):
-        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
-    if not isinstance(delays, (int, np.integer)) or isinstance(delays, bool):
-        raise ParameterError(f"delays must be an integer, got {delays!r}")
+    check_instance(x, TimeSeries)
+    check_int("delays", delays)
     n_samples = len(x)
     if not 2 <= delays <= n_samples:
         raise ParameterError(
@@ -100,10 +97,7 @@ def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
     Requires an odd number of delays so "central" is unambiguous; with an
     even count, use an odd one or leave the matrix uncentered.
     """
-    if not isinstance(embedding, HankelEmbedding):
-        raise ParameterError(
-            f"expected a HankelEmbedding, got {type(embedding).__name__}"
-        )
+    check_instance(embedding, HankelEmbedding)
     if embedding.centered:
         raise ParameterError("embedding is already centered")
     if embedding.delays % 2 == 0:
@@ -124,10 +118,7 @@ def split_shift(embedding: HankelEmbedding):
     trimmed to match. The halves' matrices and center rows are read-only
     column views of the parent, not copies.
     """
-    if not isinstance(embedding, HankelEmbedding):
-        raise ParameterError(
-            f"expected a HankelEmbedding, got {type(embedding).__name__}"
-        )
+    check_instance(embedding, HankelEmbedding)
     if embedding.columns < 3:
         raise ParameterError(
             f"need at least 3 columns to split, got {embedding.columns}"

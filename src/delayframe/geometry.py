@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateInputError, ParameterError
+from .errors import (
+    DataError, DegenerateInputError, ParameterError, check_int, check_positive,
+)
 from .linalg import as_matrix, gram_schmidt
 
 __all__ = [
@@ -98,7 +100,10 @@ class ModelCurvatures:
     """Speed-normalized model matrix and its superdiagonal read as curvatures."""
 
     k_matrix: np.ndarray = field(repr=False)
-    curvatures: tuple
+
+    @property
+    def curvatures(self) -> tuple:
+        return tuple(np.diag(self.k_matrix, 1))
 
 
 def central_difference(values, dt: float) -> np.ndarray:
@@ -108,8 +113,7 @@ def central_difference(values, dt: float) -> np.ndarray:
         raise ParameterError(
             f"need a 1-d array of at least 3 samples, got shape {v.shape}"
         )
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     return (v[2:] - v[:-2]) / (2.0 * dt)
 
 
@@ -120,10 +124,7 @@ def derivative_stack(values, dt: float, order: int):
     aligned: entry j of every derivative refers to the same sample time.
     """
     v = np.asarray(values, dtype=float)
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ParameterError(f"order must be an integer, got {order!r}")
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
+    check_int("order", order, minimum=1)
     if v.ndim != 1 or v.shape[0] < 2 * order + 1:
         raise ParameterError(
             f"need at least {2 * order + 1} samples for order {order}, "
@@ -187,8 +188,7 @@ def curvature_matrix_from_frame(frames, dt: float) -> CurvatureMatrixEstimate:
     frames = list(frames)
     if len(frames) < 2:
         raise ParameterError(f"need at least 2 frames, got {len(frames)}")
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     mats = []
     for i, f in enumerate(frames):
         if not isinstance(f, FrenetApparatus):
@@ -363,9 +363,8 @@ def _centered_grid(delays, degree, max_degree=None):
     ``max_degree`` bounds the degree for the closed forms; it is checked
     before the half-width, so a too-high degree reports that first.
     """
-    for name, v in (("delays", delays), ("degree", degree)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise ParameterError(f"{name} must be an integer, got {v!r}")
+    check_int("delays", delays)
+    check_int("degree", degree)
     if delays % 2 == 0 or delays < 3:
         raise ParameterError(f"delays must be odd and >= 3, got {delays}")
     if degree < 1:
@@ -428,7 +427,5 @@ def curvatures_from_model(a_continuous, speed: float) -> ModelCurvatures:
     a = as_matrix(a_continuous, name="a_continuous")
     if a.shape[0] != a.shape[1]:
         raise ParameterError(f"matrix must be square, got shape {a.shape}")
-    if not (np.isfinite(speed) and speed > 0.0):
-        raise ParameterError(f"speed must be positive and finite, got {speed}")
-    k = a / float(speed)
-    return ModelCurvatures(k_matrix=k, curvatures=tuple(np.diag(k, 1)))
+    check_positive("speed", speed)
+    return ModelCurvatures(k_matrix=a / float(speed))

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateInputError,
     NumericalError,
     ParameterError,
+    check_int,
 )
 
 __all__ = [
@@ -109,8 +110,7 @@ def thin_svd(a, rank: int) -> SvdTriple:
     """
     a = as_matrix(a)
     kmax = min(a.shape)
-    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
-        raise ParameterError(f"rank must be an integer, got {rank!r}")
+    check_int("rank", rank)
     if not 1 <= rank <= kmax:
         raise ParameterError(
             f"rank must be in [1, {kmax}] for shape {a.shape}, got {rank}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import TimeSeries, build_hankel, center_hankel, split_shift
-from .errors import DegenerateRankError, ParameterError
+from .errors import DegenerateRankError, ParameterError, check_instance, check_int
 from .geometry import central_difference
 from .linalg import Spectrum, SvdTriple, eigen_nonsymmetric, pseudo_inverse, thin_svd
 
@@ -65,10 +65,8 @@ class FitConfig:
     derivative_scheme: str = "forward"
 
     def __post_init__(self):
-        for name in ("delays", "rank"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
+        check_int("delays", self.delays)
+        check_int("rank", self.rank)
         if self.delays < 2:
             raise ParameterError(f"delays must be >= 2, got {self.delays}")
         if not 2 <= self.rank <= self.delays:
@@ -125,10 +123,8 @@ class DelayModel:
 
 
 def _check_arguments(x, config):
-    if not isinstance(config, FitConfig):
-        raise ParameterError(f"expected a FitConfig, got {type(config).__name__}")
-    if not isinstance(x, TimeSeries):
-        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
+    check_instance(config, FitConfig)
+    check_instance(x, TimeSeries)
     columns = len(x) - config.delays + 1
     if config.delays > len(x):
         raise ParameterError(
@@ -290,8 +286,7 @@ def log_mapped_spectrum(model: DelayModel) -> np.ndarray:
     Exact for a model that is itself a sampled linear flow, where
     (lambda - 1)/dt carries an O(dt) bias.
     """
-    if not isinstance(model, DelayModel):
-        raise ParameterError(f"expected a DelayModel, got {type(model).__name__}")
+    check_instance(model, DelayModel)
     lam = eigen_nonsymmetric(model.a_discrete).eigenvalues
     omega = np.log(lam.astype(complex)) / model.dt
     order = np.lexsort((omega.real, omega.imag))
@@ -306,17 +301,13 @@ def reconstruct(model: DelayModel, v0, steps: int, forcing_series=None) -> np.nd
     forcing values. Feeding back the model's own forcing_signal values
     reproduces the fitted V columns to within the stored residual.
     """
-    if not isinstance(model, DelayModel):
-        raise ParameterError(f"expected a DelayModel, got {type(model).__name__}")
+    check_instance(model, DelayModel)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (model.state_dim,):
         raise ParameterError(
             f"v0 must have shape ({model.state_dim},), got {v0.shape}"
         )
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
-        raise ParameterError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    check_int("steps", steps, minimum=1)
     forced = model.b_discrete is not None
     if forced and steps > 1:
         if forcing_series is None:
@@ -350,8 +341,7 @@ def forcing_signal(model: DelayModel) -> TimeSeries:
     the unit-norm singular vector row, sampled at the model's dt and
     aligned with the fitted columns (value k belongs to column k).
     """
-    if not isinstance(model, DelayModel):
-        raise ParameterError(f"expected a DelayModel, got {type(model).__name__}")
+    check_instance(model, DelayModel)
     if model.b_discrete is None:
         raise ParameterError("model was fit without forcing")
     r = model.config.rank

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .embedding import TimeSeries
-from .errors import ParameterError
+from .errors import ParameterError, check_instance, check_int, check_positive
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -41,7 +41,8 @@ class SplineModel:
     def evaluate(self, t, order: int = 0) -> np.ndarray:
         """Evaluate the spline (or a derivative) inside the knot span."""
         t = np.asarray(t, dtype=float)
-        if not isinstance(order, (int, np.integer)) or not 0 <= order <= 3:
+        check_int("order", order)
+        if not 0 <= order <= 3:
             raise ParameterError(f"order must be in 0..3, got {order!r}")
         lo, hi = self.knots[0], self.knots[-1]
         if np.any(t < lo) or np.any(t > hi):
@@ -59,8 +60,7 @@ def spline_fit(x: TimeSeries) -> SplineModel:
     zero-second-derivative end conditions are the least-assumptive choice
     when nothing is known beyond the samples.
     """
-    if not isinstance(x, TimeSeries):
-        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
+    check_instance(x, TimeSeries)
     if len(x) < 4:
         raise ParameterError(f"spline_fit needs at least 4 samples, got {len(x)}")
     from scipy.interpolate import CubicSpline
@@ -77,10 +77,8 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
     (no extrapolation); a dt_new wider than the span leaves fewer than two
     samples and is rejected, and so is one whose grid cannot be allocated.
     """
-    if not isinstance(model, SplineModel):
-        raise ParameterError(f"expected a SplineModel, got {type(model).__name__}")
-    if not (np.isfinite(dt_new) and dt_new > 0.0):
-        raise ParameterError(f"dt_new must be positive and finite, got {dt_new}")
+    check_instance(model, SplineModel)
+    check_positive("dt_new", dt_new)
     start = float(model.knots[0])
     span = float(model.knots[-1]) - start
     steps = np.floor(span / dt_new * (1.0 + 1e-12))
@@ -110,12 +108,8 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
 
 def trim_series(x: TimeSeries, count: int) -> TimeSeries:
     """Drop ``count`` samples from each end, advancing t0 to match."""
-    if not isinstance(x, TimeSeries):
-        raise ParameterError(f"expected a TimeSeries, got {type(x).__name__}")
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise ParameterError(f"count must be an integer, got {count!r}")
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
+    check_instance(x, TimeSeries)
+    check_int("count", count, minimum=0)
     if len(x) - 2 * count < 2:
         raise ParameterError(
             f"trimming {count} samples per end leaves fewer than 2 of {len(x)}"

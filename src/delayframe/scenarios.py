@@ -70,14 +70,7 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
             raise ParameterError(
                 f"input too short for stride {stride}: {len(sub)} samples"
             )
-        model = models.fit(sub, cfg)
-        dt_rows.append({
-            "dt": sub.dt,
-            "stride": stride,
-            "columns": len(sub) - delays + 1,
-            "antisymmetry": diagnostics.antisymmetry_score(model.a_continuous),
-            "tridiagonality": diagnostics.tridiagonality_score(model.a_continuous),
-        })
+        dt_rows.append({"stride": stride, **_structure_row(sub, cfg)})
     col_rows = []
     sub = TimeSeries(t0=series.t0, dt=series.dt * 2, values=series.values[::2])
     for columns in (1001, 2001, 5001, 10001):
@@ -87,14 +80,19 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
                 f"column sweep needs {need} samples at stride 2, got {len(sub)}"
             )
         window = TimeSeries(t0=sub.t0, dt=sub.dt, values=sub.values[:need])
-        model = models.fit(window, cfg)
-        col_rows.append({
-            "columns": columns,
-            "dt": sub.dt,
-            "antisymmetry": diagnostics.antisymmetry_score(model.a_continuous),
-            "tridiagonality": diagnostics.tridiagonality_score(model.a_continuous),
-        })
+        col_rows.append(_structure_row(window, cfg))
     return {"dt_sweep": dt_rows, "column_sweep": col_rows}
+
+
+def _structure_row(x: TimeSeries, cfg: models.FitConfig) -> dict:
+    """Fit ``x`` and score the generator's structure: one sweep row."""
+    a = models.fit(x, cfg).a_continuous
+    return {
+        "dt": x.dt,
+        "columns": len(x) - cfg.delays + 1,
+        "antisymmetry": diagnostics.antisymmetry_score(a),
+        "tridiagonality": diagnostics.tridiagonality_score(a),
+    }
 
 
 def _curvature():

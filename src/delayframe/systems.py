@@ -29,7 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .embedding import TimeSeries
-from .errors import NumericalError, ParameterError
+from .errors import (
+    NumericalError, ParameterError, check_instance, check_int, check_positive,
+)
 
 __all__ = [
     "SystemSpec",
@@ -104,14 +106,8 @@ class SystemSpec:
             )
         if not all(math.isfinite(v) for v in state):
             raise ParameterError("initial state must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
-        if not isinstance(self.samples, (int, np.integer)) or isinstance(
-            self.samples, bool
-        ):
-            raise ParameterError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 2:
-            raise ParameterError(f"samples must be >= 2, got {self.samples}")
+        check_positive("dt", self.dt)
+        check_int("samples", self.samples, minimum=2)
         object.__setattr__(self, "parameters", merged)
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "dt", float(self.dt))
@@ -195,8 +191,7 @@ def simulate(spec: SystemSpec) -> Trajectory:
     The two-tone signal is evaluated in closed form (one state column);
     the ODE systems use fixed-step RK4 with the stated right-hand sides.
     """
-    if not isinstance(spec, SystemSpec):
-        raise ParameterError(f"expected a SystemSpec, got {type(spec).__name__}")
+    check_instance(spec, SystemSpec)
     p = spec.parameters
     if spec.kind == "two_tone":
         t = spec.dt * np.arange(spec.samples)
@@ -254,10 +249,7 @@ def measure(trajectory: Trajectory, observable: str) -> TimeSeries:
     sine to the pendulum angles. The series keeps the simulation's dt and
     starts at t0 = 0.
     """
-    if not isinstance(trajectory, Trajectory):
-        raise ParameterError(
-            f"expected a Trajectory, got {type(trajectory).__name__}"
-        )
+    check_instance(trajectory, Trajectory)
     kind = trajectory.spec.kind
     valid = _SYSTEMS[kind].observables
     if observable not in valid:
@@ -276,10 +268,7 @@ def measure(trajectory: Trajectory, observable: str) -> TimeSeries:
 
 def pendulum_energy(trajectory: Trajectory) -> np.ndarray:
     """Total energy of the double pendulum at each sample."""
-    if not isinstance(trajectory, Trajectory):
-        raise ParameterError(
-            f"expected a Trajectory, got {type(trajectory).__name__}"
-        )
+    check_instance(trajectory, Trajectory)
     if trajectory.spec.kind != "double_pendulum":
         raise ParameterError(
             f"energy is defined for double_pendulum, got {trajectory.spec.kind!r}"

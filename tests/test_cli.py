@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -265,6 +266,26 @@ def test_resample_grid_too_large_is_a_config_error(tmp_path, capsys, dt):
     assert err.startswith("error:") and f"dt_new = {dt}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_scores_finite_at_a_tiny_step(tmp_path, capsys):
+    # At dt 1e-300 the generator (A - I)/dt has entries near 1e299, whose
+    # squares overflow unless the scores rescale the matrix first.
+    rows = [f"{k * 1e-300!r},{math.sin(0.3 * k)!r}" for k in range(27)]
+    path = _write(tmp_path / "x.csv", "time,value\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    code = main(["fit", "--input", path, "--delays", "5", "--rank", "3",
+                 "--no-centering", "--out-dir", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    for name in ("antisymmetry", "tridiagonality"):
+        assert math.isfinite(report[name]) and 0.0 <= report[name] <= 1.0
 
 
 def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):

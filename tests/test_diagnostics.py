@@ -52,9 +52,11 @@ def test_scores_reject_nonsquare():
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=1e-300, max_value=1e300),
 )
 def test_scores_scale_invariant(seed, scale):
+    # Squaring the entries would overflow or underflow at the ends of this
+    # range; the scores scale the matrix exactly first.
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((5, 5))
     assert antisymmetry_score(scale * a) == pytest.approx(
