@@ -1,4 +1,11 @@
-"""Hankel (time-delay) embedding of uniformly sampled scalar series."""
+"""Hankel (time-delay) embedding of uniformly sampled scalar series.
+
+``build_hankel`` returns a read-only ``sliding_window_view`` of the
+series, so the delay matrix costs no memory of its own. ``center_hankel``
+materializes the centered copy for callers that want it; the fit does
+not: it passes the window and the central row's index (``center_index``)
+to ``linalg.thin_svd``, which subtracts that row block by block.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ __all__ = [
     "HankelEmbedding",
     "build_hankel",
     "center_hankel",
+    "center_index",
     "split_shift",
 ]
 
@@ -52,8 +60,9 @@ class HankelEmbedding:
     """Delay matrix with entry (i, j) = x[i + j].
 
     Rows walk the delay axis, columns the time axis; column j is the
-    window starting at sample j of the series it was built from. A
-    centered embedding has had its central row subtracted and keeps it in
+    window starting at sample j of the series it was built from; from
+    ``build_hankel`` it is a read-only view of that series. A centered
+    embedding has had its central row subtracted and keeps it in
     ``center_row``; an embedding is centered exactly once.
     """
 
@@ -77,7 +86,9 @@ def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
     """Stack ``delays`` shifted copies of a series into a Hankel matrix.
 
     A series of length N yields a ``delays x (N - delays + 1)`` matrix, so
-    every sample is used and each anti-diagonal is constant.
+    every sample is used and each anti-diagonal is constant. The matrix is
+    a read-only, zero-copy window onto ``x.values``: entry (i, j) is the
+    sample ``x.values[i + j]`` itself, not a copy of it.
     """
     check_instance(x, TimeSeries)
     check_int("delays", delays)
@@ -87,26 +98,34 @@ def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
             f"delays must be in [2, {n_samples}] for this series, got {delays}"
         )
     width = n_samples - delays + 1
-    matrix = sliding_window_view(x.values, width).astype(float, copy=True)
-    return HankelEmbedding(matrix=matrix)
+    return HankelEmbedding(matrix=sliding_window_view(x.values, width))
+
+
+def center_index(delays: int) -> int:
+    """Index of the central row of a ``delays``-row Hankel matrix.
+
+    Centering needs an odd delay count so "central" is unambiguous; with
+    an even count, use an odd one or leave the matrix uncentered.
+    """
+    check_int("delays", delays, minimum=1)
+    if delays % 2 == 0:
+        raise ParameterError(
+            f"centering needs an odd delay count, got {delays}; "
+            "use an odd number of delays or turn centering off"
+        )
+    return (delays - 1) // 2
 
 
 def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
     """Subtract the central row, keeping it for later geometry.
 
-    Requires an odd number of delays so "central" is unambiguous; with an
-    even count, use an odd one or leave the matrix uncentered.
+    The centered matrix is a new array the size of the input. Requires an
+    odd number of delays (see ``center_index``).
     """
     check_instance(embedding, HankelEmbedding)
     if embedding.centered:
         raise ParameterError("embedding is already centered")
-    if embedding.delays % 2 == 0:
-        raise ParameterError(
-            f"centering needs an odd delay count, got {embedding.delays}; "
-            "use an odd number of delays or turn centering off"
-        )
-    mid = (embedding.delays - 1) // 2
-    center = embedding.matrix[mid].copy()
+    center = embedding.matrix[center_index(embedding.delays)].copy()
     return HankelEmbedding(matrix=embedding.matrix - center, center_row=center)
 
 

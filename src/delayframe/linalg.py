@@ -9,16 +9,25 @@ to callers.
 wider than it is tall (or the transpose), so it works on the short side:
 it forms the Gram matrix ``a @ a.T``, takes its eigenvectors with
 ``eigh``, and refines them with one Rayleigh-Ritz pass on ``a`` itself.
+All three products with ``a`` are accumulated over column blocks of the
+wide orientation, each at most ``_BLOCK_BYTES`` (4 MiB), so ``a`` may be
+a zero-copy window such as a Hankel ``sliding_window_view``. Given
+``center``, it factorizes ``a - a[center]``, subtracting that row from
+each block as the block is formed; the centered matrix never exists.
 Squaring the matrix squares its condition number, so that route is taken
 only when the rank-th Gram eigenvalue exceeds ``1e-12`` times the largest
-one (sigma_rank / sigma_1 above about 1e-6). Below that floor the full
-dense SVD runs instead, so results near the numerical rank limit are
-exactly those of LAPACK's SVD.
+one (sigma_rank / sigma_1 above about 1e-6). Below that floor, or when
+the Gram matrix overflows, the full dense SVD runs instead, on an
+explicitly centered copy when ``center`` is given: the one path that
+materializes a matrix the size of ``a``. Results near the numerical rank
+limit are exactly those of LAPACK's SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -42,6 +51,10 @@ __all__ = [
 # Smallest Gram eigenvalue ratio w_rank / w_1, i.e. (sigma_rank / sigma_1)^2,
 # that thin_svd factorizes through the Gram matrix; below it the dense SVD runs.
 _GRAM_FLOOR = 1e-12
+
+# Largest column block of the wide orientation, in bytes, that thin_svd
+# forms at once; its working memory beyond the factors is about this much.
+_BLOCK_BYTES = 4 * 2**20
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
 # zero; gram_schmidt drops a vector whose residual falls below this
@@ -90,19 +103,25 @@ def as_matrix(a, name="matrix"):
     return a
 
 
-def thin_svd(a, rank: int) -> SvdTriple:
+def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     """Rank-truncated SVD with a deterministic sign convention.
 
+    With ``center`` given, the matrix factorized is ``a - a[center]``: row
+    ``center`` is subtracted from every row, block by block, without
+    forming the centered matrix.
+
     The factors come from the short side's Gram matrix: with ``h`` the
-    wide orientation of ``a`` (``a`` itself, or ``a.T`` when ``a`` is
-    tall), ``eigh(h @ h.T)`` gives the leading left basis ``q``, then
-    ``y = qr(h.T @ q)`` is an orthonormal trial basis for the right
-    vectors and the SVD of the small matrix ``h @ y`` gives the singular
-    values and rotates both bases (one Rayleigh-Ritz pass). Its singular
-    values never exceed those of ``a``. When the rank-th Gram eigenvalue
-    is at most ``1e-12`` times the largest, the squared spectrum cannot
-    resolve the trailing pairs, and the dense ``np.linalg.svd`` of ``a``
-    is used instead.
+    wide orientation of the (centered) matrix (``a`` itself, or ``a.T``
+    when ``a`` is tall), ``eigh(h @ h.T)`` gives the leading left basis
+    ``q``, then ``y = qr(h.T @ q)`` is an orthonormal trial basis for the
+    right vectors and the SVD of the small matrix ``h @ y`` gives the
+    singular values and rotates both bases (one Rayleigh-Ritz pass). The
+    three products are summed or stacked over column blocks of ``h`` of
+    at most ``_BLOCK_BYTES``. The singular values never exceed those of
+    the matrix. When the rank-th Gram eigenvalue is at most ``1e-12``
+    times the largest, the squared spectrum cannot resolve the trailing
+    pairs, and the dense ``np.linalg.svd`` of the (explicitly centered)
+    matrix is used instead.
 
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
@@ -115,11 +134,19 @@ def thin_svd(a, rank: int) -> SvdTriple:
         raise ParameterError(
             f"rank must be in [1, {kmax}] for shape {a.shape}, got {rank}"
         )
+    if center is not None:
+        check_int("center", center)
+        if not 0 <= center < a.shape[0]:
+            raise ParameterError(
+                f"center must be in [0, {a.shape[0] - 1}] for shape {a.shape}, "
+                f"got {center}"
+            )
     tall = a.shape[0] > a.shape[1]
     try:
-        ritz = _gram_ritz_svd(a.T if tall else a, rank)
+        ritz = _gram_ritz_svd(a, rank, center)
         if ritz is None:
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            dense = a if center is None else a - a[center]
+            u, s, vt = np.linalg.svd(dense, full_matrices=False)
             u = u[:, :rank].copy()
             s = s[:rank].copy()
             vt = vt[:rank].copy()
@@ -136,23 +163,59 @@ def thin_svd(a, rank: int) -> SvdTriple:
     return SvdTriple(u=u, sigma=s, v=vt.T.copy())
 
 
-def _gram_ritz_svd(h, rank):
-    """Leading ``(u, sigma, v)`` of a wide ``h`` via its Gram matrix.
+def _wide_blocks(a, center):
+    """Yield ``(j0, block)``: column blocks of the wide orientation ``h`` of ``a``.
 
-    Returns None when the rank-th Gram eigenvalue is at or below
-    ``_GRAM_FLOOR`` times the largest, where the squared spectrum has
-    lost the trailing singular values to rounding, or when squaring
-    overflows.
+    ``h`` is ``a``, or ``a.T`` when ``a`` is tall. Each block holds columns
+    ``j0:j0 + block.shape[1]`` of ``h``; with ``center`` given, row
+    ``center`` of ``a`` has been subtracted (a row of ``h`` when ``a`` is
+    wide, a column when it is tall). All blocks share one buffer of at
+    most ``_BLOCK_BYTES`` (one column if a single column is larger), laid
+    out as ``h`` is, so a block is overwritten by the next one: use it
+    before asking for the next.
+    """
+    tall = a.shape[0] > a.shape[1]
+    h = a.T if tall else a
+    rows, cols = h.shape
+    step = min(cols, max(1, _BLOCK_BYTES // (h.itemsize * rows)))
+    buffer = np.empty((step, rows)).T if tall else np.empty((rows, step))
+    # Every block is copied into the buffer, even uncentered: a Hankel
+    # window's overlapping strides are not a layout BLAS accepts.
+    for j0 in range(0, cols, step):
+        part = h[:, j0:j0 + step]
+        block = buffer[:, :part.shape[1]]
+        if center is None:
+            np.copyto(block, part)
+        elif tall:
+            np.subtract(part, h[:, center, None], out=block)
+        else:
+            np.subtract(part, h[center, j0:j0 + step], out=block)
+        yield j0, block
+
+
+def _gram_ritz_svd(a, rank, center):
+    """Leading ``(u, sigma, v)`` of the wide orientation ``h`` of ``a``.
+
+    ``h`` is centered as ``_wide_blocks`` describes and is only ever seen
+    one column block at a time. Returns None when the rank-th Gram
+    eigenvalue is at or below ``_GRAM_FLOOR`` times the largest, where the
+    squared spectrum has lost the trailing singular values to rounding,
+    or when squaring overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = h @ h.T
+        gram = reduce(iadd, (h @ h.T for _, h in _wide_blocks(a, center)))
     if not np.all(np.isfinite(gram)):
         return None
     w, q = np.linalg.eigh(gram)
     if not w[-rank] > _GRAM_FLOOR * w[-1]:
         return None
-    y, _ = np.linalg.qr(h.T @ q[:, ::-1][:, :rank])
-    u, s, wt = np.linalg.svd(h @ y, full_matrices=False)
+    q = q[:, ::-1][:, :rank]
+    trial = np.concatenate([h.T @ q for _, h in _wide_blocks(a, center)])
+    y, _ = np.linalg.qr(trial)
+    projected = reduce(
+        iadd, (h @ y[j0:j0 + h.shape[1]] for j0, h in _wide_blocks(a, center))
+    )
+    u, s, wt = np.linalg.svd(projected, full_matrices=False)
     return u, s, y @ wt.T
 
 

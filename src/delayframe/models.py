@@ -28,7 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import TimeSeries, build_hankel, center_hankel, split_shift
+# fit does not call center_hankel (thin_svd centers block by block), but
+# perfbench/spans.py looks center_hankel up in this module to trace it, so
+# it stays imported here.
+from .embedding import (
+    TimeSeries,
+    build_hankel,
+    center_hankel,
+    center_index,
+    split_shift,
+)
 from .errors import DegenerateRankError, ParameterError, check_instance, check_int
 from .geometry import central_difference
 from .linalg import Spectrum, SvdTriple, eigen_nonsymmetric, pseudo_inverse, thin_svd
@@ -139,8 +148,8 @@ def _check_arguments(x, config):
         )
 
 
-def _guarded_svd(matrix, rank, state_dim):
-    svd = thin_svd(matrix, rank)
+def _guarded_svd(matrix, rank, state_dim, center):
+    svd = thin_svd(matrix, rank, center=center)
     if svd.sigma[0] <= 0.0:
         raise DegenerateRankError(
             "matrix is numerically zero; the signal has no variation"
@@ -152,6 +161,12 @@ def _guarded_svd(matrix, rank, state_dim):
             f"{svd.sigma[state_dim - 1] / svd.sigma[0]:.3e}"
         )
     return svd
+
+
+def _norm(d):
+    """Euclidean norm of ``d``, scaled by ``max|d|`` so no square overflows."""
+    m = float(np.max(np.abs(d)))
+    return m * float(np.linalg.norm(d / m)) if m > 0.0 else 0.0
 
 
 def _band_orientation(a_ext):
@@ -238,11 +253,13 @@ def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
 def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     """Fit a linear model in delay coordinates.
 
-    One pipeline serves both methods: build the Hankel matrix (centered
-    on request), take the bases, regress, orient the band. The regression
-    maps the reduced coordinates of columns 1..n-1 (all rank rows) to the
-    state rows of columns 2..n; with forcing, the last column of its
-    solution is the forcing coupling. ``config.method`` picks only where
+    One pipeline serves both methods: build the Hankel window, take the
+    bases of it (centered on request), regress, orient the band. The
+    window is a view of the series, and ``thin_svd`` subtracts the central
+    row block by block, so neither the Hankel matrix nor its centered copy
+    is ever held in full. The regression maps the reduced coordinates of
+    columns 1..n-1 (all rank rows) to the state rows of columns 2..n; with
+    forcing, the last column of its solution is the forcing coupling. ``config.method`` picks only where
     the two bases come from: ``havok`` reads one SVD's V^T at two shifts,
     ``shavok`` takes one SVD of each shifted column half (ranks r and
     state_dim), the second sign-aligned to the first.
@@ -250,19 +267,19 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     _check_arguments(x, config)
     dt = x.dt
     embedding = build_hankel(x, config.delays)
-    speed = None
+    center = speed = None
     if config.centering:
-        embedding = center_hankel(embedding)
-        speed = float(np.linalg.norm(central_difference(embedding.center_row, dt)))
+        center = center_index(config.delays)
+        speed = _norm(central_difference(embedding.matrix[center], dt))
     state_dim = config.state_dim
     if config.method == "havok":
-        svd = _guarded_svd(embedding.matrix, config.rank, state_dim)
+        svd = _guarded_svd(embedding.matrix, config.rank, state_dim, center)
         vt = svd.v.T.copy()
         v1_full, v2_state = vt[:, :-1], vt[:state_dim, 1:]
     else:
         first, second = split_shift(embedding)
-        svd = _guarded_svd(first.matrix, config.rank, state_dim)
-        second_svd = _guarded_svd(second.matrix, state_dim, state_dim)
+        svd = _guarded_svd(first.matrix, config.rank, state_dim, center)
+        second_svd = _guarded_svd(second.matrix, state_dim, state_dim, center)
         v1_full = svd.v.T.copy()
         v2_state = second_svd.v.T.copy()
         # The halves are nearly identical, so matched singular pairs should

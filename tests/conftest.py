@@ -48,10 +48,14 @@ def rng():
 @pytest.fixture(scope="session")
 def dense_svd():
     """Reference factorization: LAPACK's full SVD, truncated to ``rank``,
-    with thin_svd's sign convention (largest left entry positive)."""
+    with thin_svd's sign convention (largest left entry positive). Like
+    thin_svd, it factorizes ``a - a[center]`` when ``center`` is given."""
 
-    def factor(a, rank):
-        u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    def factor(a, rank, center=None):
+        a = np.asarray(a, dtype=float)
+        if center is not None:
+            a = a - a[center]
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
         u, s, v = u[:, :rank].copy(), s[:rank].copy(), vt[:rank].T.copy()
         for j in range(rank):
             if u[np.argmax(np.abs(u[:, j])), j] < 0.0:

@@ -274,18 +274,39 @@ def _reject_constant(name):
 
 def test_report_scores_finite_at_a_tiny_step(tmp_path, capsys):
     # At dt 1e-300 the generator (A - I)/dt has entries near 1e299, whose
-    # squares overflow unless the scores rescale the matrix first.
-    rows = [f"{k * 1e-300!r},{math.sin(0.3 * k)!r}" for k in range(27)]
-    path = _write(tmp_path / "x.csv", "time,value\n" + "\n".join(rows) + "\n")
-    out = tmp_path / "o"
-    code = main(["fit", "--input", path, "--delays", "5", "--rank", "3",
-                 "--no-centering", "--out-dir", str(out)])
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    report = json.loads((out / "report.json").read_text(),
-                        parse_constant=_reject_constant)
+    # squares overflow unless the scores rescale the matrix first; so do
+    # the centered fit's velocity entries unless its speed is rescaled.
+    def fit_report(dt, *flags):
+        rows = [f"{k * dt!r},{math.sin(0.3 * k)!r}" for k in range(27)]
+        path = _write(tmp_path / f"x{dt!r}.csv",
+                      "time,value\n" + "\n".join(rows) + "\n")
+        out = tmp_path / f"o{dt!r}{''.join(flags)}"
+        code = main(["fit", "--input", path, "--delays", "5", "--rank", "3",
+                     *flags, "--out-dir", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        return json.loads((out / "report.json").read_text(),
+                          parse_constant=_reject_constant)
+
+    report = fit_report(1e-300, "--no-centering")
     for name in ("antisymmetry", "tridiagonality"):
         assert math.isfinite(report[name]) and 0.0 <= report[name] <= 1.0
+    # Curvatures are rates per unit arc length, so the step cancels.
+    tiny, unit = fit_report(1e-300), fit_report(1.0)
+    assert math.isfinite(tiny["speed"]) and tiny["speed"] > 0.0
+    np.testing.assert_allclose(tiny["curvatures"], unit["curvatures"],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_fit_with_even_delays_and_centering_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["fit", "--input", "two_tone", "--delays", "40", "--rank", "4",
+                 "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "use an odd number of delays or turn centering off" in err
+    assert not out.exists()
 
 
 def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):

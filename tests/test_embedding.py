@@ -74,8 +74,11 @@ def test_hankel_entry_property(seed, delays):
 def test_hankel_does_not_alias_input():
     x = _series(np.arange(8.0))
     emb = build_hankel(x, 3)
-    emb.matrix[0, 0] = 99.0
-    assert x.values[0] == 0.0
+    # The matrix is a read-only window onto the series: it cannot be
+    # written through, so the series cannot change under it.
+    with pytest.raises(ValueError):
+        emb.matrix[0, 0] = 99.0
+    np.testing.assert_array_equal(x.values, np.arange(8.0))
 
 
 def test_center_hankel_subtracts_central_row():
@@ -116,7 +119,6 @@ def test_split_shift_columns():
     for half in (first, second):
         assert np.shares_memory(half.matrix, emb.matrix)
         assert not half.matrix.flags.writeable
-    assert emb.matrix.flags.writeable
 
 
 def test_split_shift_trims_center_row():

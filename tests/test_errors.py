@@ -77,6 +77,10 @@ RULES = [
                  "degree must be an integer, got True", id="int-monomial_orthobasis"),
     pytest.param(lambda: linalg.thin_svd(np.eye(3), 2.0), ParameterError,
                  "rank must be an integer, got 2.0", id="int-thin_svd"),
+    pytest.param(lambda: linalg.thin_svd(np.eye(3), 2, center=1.0), ParameterError,
+                 "center must be an integer, got 1.0", id="int-thin_svd-center"),
+    pytest.param(lambda: embedding.center_index(5.0), ParameterError,
+                 "delays must be an integer, got 5.0", id="int-center_index"),
     pytest.param(lambda: models.FitConfig(delays=5.0, rank=3), ParameterError,
                  "delays must be an integer, got 5.0", id="int-FitConfig-delays"),
     pytest.param(lambda: models.FitConfig(delays=5, rank=True), ParameterError,
@@ -115,6 +119,9 @@ RULES = [
     ),
     pytest.param(lambda: linalg.thin_svd(np.eye(3), 4), ParameterError,
                  "rank must be in [1, 3] for shape (3, 3), got 4", id="range-thin_svd"),
+    pytest.param(lambda: linalg.thin_svd(np.eye(3), 2, center=3), ParameterError,
+                 "center must be in [0, 2] for shape (3, 3), got 3",
+                 id="range-thin_svd-center"),
     pytest.param(lambda: _SPLINE.evaluate(0.5, order=4), ParameterError,
                  "order must be in 0..3, got 4", id="range-evaluate"),
     # type

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delayframe import linalg
 from delayframe.errors import DataError, DegenerateInputError, ParameterError
 from delayframe.linalg import (
     as_matrix,
@@ -74,27 +75,39 @@ _NEAR_PAIR = np.array([1.0, 0.5, 0.5 * (1.0 + 1e-9), 0.1, 1e-3])
 
 @pytest.mark.parametrize("shape", [(40, 900), (900, 40)])
 @pytest.mark.parametrize("sigma", [_GRADED, _NEAR_PAIR], ids=["graded", "near-pair"])
-def test_thin_svd_matches_dense_svd(rng, dense_svd, shape, sigma):
+def test_thin_svd_matches_dense_svd(rng, dense_svd, monkeypatch, shape, sigma):
     a = _graded_matrix(rng, shape, sigma)
-    full = np.linalg.svd(a, compute_uv=False)
-    gaps = np.minimum(-np.diff(full, prepend=np.inf), -np.diff(full, append=0.0))
-    for rank in range(1, len(sigma) + 1):
-        svd = thin_svd(a, rank)
-        ref = dense_svd(a, rank)
-        np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
-                                   atol=1e-12 * ref.sigma[0])
-        if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
-            # Below the Gram floor thin_svd is the dense SVD, bit for bit.
-            np.testing.assert_array_equal(svd.u, ref.u)
-            np.testing.assert_array_equal(svd.sigma, ref.sigma)
-            np.testing.assert_array_equal(svd.v, ref.v)
-            continue
-        for j in range(rank):
-            if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
-                continue
-            for got, want in ((svd.u[:, j], ref.u[:, j]), (svd.v[:, j], ref.v[:, j])):
-                err = min(np.abs(got - want).max(), np.abs(got + want).max())
-                assert err < 1e-8, (rank, j, err)
+    one_block = linalg._BLOCK_BYTES
+    # Blocks of 7 columns of the 40-row wide orientation: its 900 columns
+    # leave a ragged last block of 4.
+    seven_columns = 7 * 8 * min(shape)
+    for center in (None, 13):
+        dense = a if center is None else a - a[center]
+        full = np.linalg.svd(dense, compute_uv=False)
+        gaps = np.minimum(-np.diff(full, prepend=np.inf),
+                          -np.diff(full, append=0.0))
+        for block_bytes in (one_block, seven_columns):
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", block_bytes)
+            for rank in range(1, len(sigma) + 1):
+                svd = thin_svd(a, rank, center=center)
+                ref = dense_svd(a, rank, center)
+                np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
+                                           atol=1e-12 * ref.sigma[0])
+                if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
+                    # Below the Gram floor thin_svd is the dense SVD, bit
+                    # for bit.
+                    np.testing.assert_array_equal(svd.u, ref.u)
+                    np.testing.assert_array_equal(svd.sigma, ref.sigma)
+                    np.testing.assert_array_equal(svd.v, ref.v)
+                    continue
+                for j in range(rank):
+                    if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
+                        continue
+                    for got, want in ((svd.u[:, j], ref.u[:, j]),
+                                      (svd.v[:, j], ref.v[:, j])):
+                        err = min(np.abs(got - want).max(),
+                                  np.abs(got + want).max())
+                        assert err < 1e-8, (center, block_bytes, rank, j, err)
 
 
 def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):

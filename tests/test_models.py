@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,28 @@ def test_rank_guard_between_gram_floor_and_rank_tolerance(method, dense_svd,
     # At 1e-10 the ratio falls to about 7e-14, under the rank tolerance.
     with pytest.raises(DegenerateRankError, match="sigma_4"):
         fit(_tone_with_faint_overtone(1e-10), cfg)
+
+
+@pytest.mark.parametrize("method", ["havok", "shavok"])
+def test_fit_holds_no_copy_of_the_hankel_matrix(method):
+    # 201 delays x 10,000 columns: the Hankel matrix H would take 16.1 MB.
+    # The fit factorizes a zero-copy window of the series and centers it
+    # one 4 MiB column block at a time, so its traced peak stays below one
+    # copy of H (holding H and its centered copy took two).
+    delays, columns = 201, 10_000
+    t = 0.01 * np.arange(columns + delays - 1)
+    x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + np.sin(2.0 * t))
+    cfg = FitConfig(delays=delays, rank=4, forcing=False, method=method)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fit(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < delays * columns * 8
 
 
 def test_constant_signal_rejected():
