@@ -4,7 +4,8 @@
 series, so the delay matrix costs no memory of its own. ``center_hankel``
 materializes the centered copy for callers that want it; the fit does
 not: it passes the window and the central row's index (``center_index``)
-to ``linalg.thin_svd``, which subtracts that row block by block.
+to ``linalg.thin_svd``, which factorizes the centered window from the
+series without forming it.
 """
 
 from __future__ import annotations

@@ -9,25 +9,25 @@ to callers.
 wider than it is tall (or the transpose), so it works on the short side:
 it forms the Gram matrix ``a @ a.T``, takes its eigenvectors with
 ``eigh``, and refines them with one Rayleigh-Ritz pass on ``a`` itself.
-All three products with ``a`` are accumulated over column blocks of the
-wide orientation, each at most ``_BLOCK_BYTES`` (4 MiB), so ``a`` may be
-a zero-copy window such as a Hankel ``sliding_window_view``. Given
-``center``, it factorizes ``a - a[center]``, subtracting that row from
-each block as the block is formed; the centered matrix never exists.
-Squaring the matrix squares its condition number, so that route is taken
-only when the rank-th Gram eigenvalue exceeds ``1e-12`` times the largest
-one (sigma_rank / sigma_1 above about 1e-6). Below that floor, or when
-the Gram matrix overflows, the full dense SVD runs instead, on an
-explicitly centered copy when ``center`` is given: the one path that
-materializes a matrix the size of ``a``. Results near the numerical rank
-limit are exactly those of LAPACK's SVD.
+A Hankel window (``a[i, j] = x[i + j]``, recognized by its equal strides,
+such as a ``sliding_window_view``) is never formed: its three products
+come from the series, the Gram matrix by the displacement recurrence and
+the products with thin matrices as correlations (the structured SSA
+products of Korobeynikov, 2010). Given ``center``, it factorizes
+``a - a[center]`` without forming it either. Any other matrix takes the
+same products as plain matrix products. Squaring the matrix squares its
+condition number, so that route is taken only when the rank-th Gram
+eigenvalue exceeds ``1e-12`` times the largest one (sigma_rank / sigma_1
+above about 1e-6). Below that floor, or when the Gram matrix overflows,
+the full dense SVD runs instead, on an explicitly centered copy when
+``center`` is given: the one path that materializes a matrix the size of
+``a``. Results near the numerical rank limit are exactly those of
+LAPACK's SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import iadd
 
 import numpy as np
 
@@ -51,10 +51,6 @@ __all__ = [
 # Smallest Gram eigenvalue ratio w_rank / w_1, i.e. (sigma_rank / sigma_1)^2,
 # that thin_svd factorizes through the Gram matrix; below it the dense SVD runs.
 _GRAM_FLOOR = 1e-12
-
-# Largest column block of the wide orientation, in bytes, that thin_svd
-# forms at once; its working memory beyond the factors is about this much.
-_BLOCK_BYTES = 4 * 2**20
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
 # zero; gram_schmidt drops a vector whose residual falls below this
@@ -93,41 +89,53 @@ class Spectrum:
 
 def as_matrix(a, name="matrix"):
     """Coerce to a finite, nonempty 2-d float array or raise."""
+    a = _as_2d(a, name)
+    _check_finite(a, name)
+    return a
+
+
+def _as_2d(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ParameterError(f"{name} must be 2-d, got ndim={a.ndim}")
     if a.size == 0:
         raise ParameterError(f"{name} must be nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"{name} contains non-finite entries")
     return a
+
+
+def _check_finite(values, name):
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{name} contains non-finite entries")
 
 
 def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     """Rank-truncated SVD with a deterministic sign convention.
 
     With ``center`` given, the matrix factorized is ``a - a[center]``: row
-    ``center`` is subtracted from every row, block by block, without
-    forming the centered matrix.
+    ``center`` subtracted from every row, without forming the result.
 
     The factors come from the short side's Gram matrix: with ``h`` the
     wide orientation of the (centered) matrix (``a`` itself, or ``a.T``
     when ``a`` is tall), ``eigh(h @ h.T)`` gives the leading left basis
     ``q``, then ``y = qr(h.T @ q)`` is an orthonormal trial basis for the
     right vectors and the SVD of the small matrix ``h @ y`` gives the
-    singular values and rotates both bases (one Rayleigh-Ritz pass). The
-    three products are summed or stacked over column blocks of ``h`` of
-    at most ``_BLOCK_BYTES``. The singular values never exceed those of
-    the matrix. When the rank-th Gram eigenvalue is at most ``1e-12``
-    times the largest, the squared spectrum cannot resolve the trailing
-    pairs, and the dense ``np.linalg.svd`` of the (explicitly centered)
-    matrix is used instead.
+    singular values and rotates both bases (one Rayleigh-Ritz pass). When
+    ``a`` is a Hankel window (equal strides), the three products come
+    from its series (``_window_products``) and ``a`` is never formed;
+    finiteness is then checked on the series' samples. The singular
+    values never exceed those of the matrix. When the rank-th Gram
+    eigenvalue is at most ``1e-12`` times the largest, the squared
+    spectrum cannot resolve the trailing pairs, and the dense
+    ``np.linalg.svd`` of the (explicitly centered) matrix is used instead.
 
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
     the subspaces, so repeated runs agree entry for entry.
     """
-    a = as_matrix(a)
+    a = _as_2d(a, "matrix")
+    tall = a.shape[0] > a.shape[1]
+    series = _window_series(a.T if tall else a)
+    _check_finite(a if series is None else series, "matrix")
     kmax = min(a.shape)
     check_int("rank", rank)
     if not 1 <= rank <= kmax:
@@ -141,9 +149,13 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
                 f"center must be in [0, {a.shape[0] - 1}] for shape {a.shape}, "
                 f"got {center}"
             )
-    tall = a.shape[0] > a.shape[1]
     try:
-        ritz = _gram_ritz_svd(a, rank, center)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if series is None:
+                products = _matrix_products(a, center, tall)
+            else:
+                products = _window_products(series, kmax, center, tall)
+        ritz = _gram_ritz_svd(*products, rank)
         if ritz is None:
             dense = a if center is None else a - a[center]
             u, s, vt = np.linalg.svd(dense, full_matrices=False)
@@ -163,60 +175,125 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     return SvdTriple(u=u, sigma=s, v=vt.T.copy())
 
 
-def _wide_blocks(a, center):
-    """Yield ``(j0, block)``: column blocks of the wide orientation ``h`` of ``a``.
+def _gram_ritz_svd(gram, h_t_times, h_times, rank):
+    """Leading ``(u, sigma, v)`` of the wide orientation ``h``, seen only
+    through its Gram matrix and the maps ``q -> h.T @ q``, ``y -> h @ y``.
 
-    ``h`` is ``a``, or ``a.T`` when ``a`` is tall. Each block holds columns
-    ``j0:j0 + block.shape[1]`` of ``h``; with ``center`` given, row
-    ``center`` of ``a`` has been subtracted (a row of ``h`` when ``a`` is
-    wide, a column when it is tall). All blocks share one buffer of at
-    most ``_BLOCK_BYTES`` (one column if a single column is larger), laid
-    out as ``h`` is, so a block is overwritten by the next one: use it
-    before asking for the next.
+    Returns None when the rank-th Gram eigenvalue is at or below
+    ``_GRAM_FLOOR`` times the largest, where the squared spectrum has lost
+    the trailing singular values to rounding, or when squaring overflows.
     """
-    tall = a.shape[0] > a.shape[1]
-    h = a.T if tall else a
-    rows, cols = h.shape
-    step = min(cols, max(1, _BLOCK_BYTES // (h.itemsize * rows)))
-    buffer = np.empty((step, rows)).T if tall else np.empty((rows, step))
-    # Every block is copied into the buffer, even uncentered: a Hankel
-    # window's overlapping strides are not a layout BLAS accepts.
-    for j0 in range(0, cols, step):
-        part = h[:, j0:j0 + step]
-        block = buffer[:, :part.shape[1]]
-        if center is None:
-            np.copyto(block, part)
-        elif tall:
-            np.subtract(part, h[:, center, None], out=block)
-        else:
-            np.subtract(part, h[center, j0:j0 + step], out=block)
-        yield j0, block
-
-
-def _gram_ritz_svd(a, rank, center):
-    """Leading ``(u, sigma, v)`` of the wide orientation ``h`` of ``a``.
-
-    ``h`` is centered as ``_wide_blocks`` describes and is only ever seen
-    one column block at a time. Returns None when the rank-th Gram
-    eigenvalue is at or below ``_GRAM_FLOOR`` times the largest, where the
-    squared spectrum has lost the trailing singular values to rounding,
-    or when squaring overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = reduce(iadd, (h @ h.T for _, h in _wide_blocks(a, center)))
     if not np.all(np.isfinite(gram)):
         return None
     w, q = np.linalg.eigh(gram)
     if not w[-rank] > _GRAM_FLOOR * w[-1]:
         return None
-    q = q[:, ::-1][:, :rank]
-    trial = np.concatenate([h.T @ q for _, h in _wide_blocks(a, center)])
-    y, _ = np.linalg.qr(trial)
-    projected = reduce(
-        iadd, (h @ y[j0:j0 + h.shape[1]] for j0, h in _wide_blocks(a, center))
-    )
-    u, s, wt = np.linalg.svd(projected, full_matrices=False)
+    q = q[:, :-rank - 1:-1].copy()
+    y, _ = np.linalg.qr(h_t_times(q))
+    u, s, wt = np.linalg.svd(h_times(y), full_matrices=False)
     return u, s, y @ wt.T
+
+
+def _matrix_products(a, center, tall):
+    """``_gram_ritz_svd``'s products for a matrix held in memory."""
+    h = a if center is None else a - a[center]
+    if tall:
+        h = h.T
+    return h @ h.T, lambda q: h.T @ q, lambda y: h @ y
+
+
+def _window_series(h):
+    """The series ``x`` of a Hankel window ``h[i, j] = x[i + j]``, else None.
+
+    Equal strides make ``h`` such a window, whichever way it runs, sliced
+    or reversed. A one-row matrix takes the matrix products: centered, its
+    window of differences would have no rows.
+    """
+    if h.shape[0] < 2 or h.strides[0] != h.strides[1]:
+        return None
+    return np.concatenate([h[:, 0], h[-1, 1:]])
+
+
+def _window_products(x, rows, center, tall):
+    """``_gram_ritz_svd``'s products for the wide orientation ``h`` of a
+    Hankel window of the series ``x``, with ``rows`` rows, from ``x`` alone.
+
+    Uncentered, ``h`` is ``hankel(x)``. A wide window centered on row c is
+    ``h = T @ hankel(diff(x))``, T the ±1 prefix-sum matrix running out
+    from row c (``_spread``): no sample is subtracted from a distant one,
+    so an offset in ``x`` costs no accuracy. A tall window centered on its
+    row c has column c of ``h`` subtracted from every column; that
+    subtraction ignores a constant, so it is applied to ``hankel(x -
+    mean(x))`` as a rank-two correction of its Gram matrix.
+    """
+    if center is None:
+        return (_hankel_gram(x, rows), lambda q: _correlate(x, q),
+                lambda y: _correlate(x, y))
+    if not tall:
+        d = np.diff(x)
+        gram = _spread(_spread(_hankel_gram(d, rows - 1), center).T, center)
+        return (gram, lambda q: _correlate(d, _spread_adjoint(q, center)),
+                lambda y: _spread(_correlate(d, y), center))
+    z = x - np.mean(x)
+    cols = len(z) - rows + 1
+    col = z[center:center + rows]
+    sums = np.correlate(z, np.ones(cols), "valid")
+    gram = (_hankel_gram(z, rows) - np.outer(col, sums) - np.outer(sums, col)
+            + cols * np.outer(col, col))
+
+    def h_t_times(q):
+        p = _correlate(z, q)
+        return p - p[center]
+
+    def h_times(y):
+        return _correlate(z, y) - np.outer(col, y.sum(axis=0))
+
+    return gram, h_t_times, h_times
+
+
+def _correlate(x, b):
+    """``hankel(x) @ b`` or ``hankel(x).T @ b``, whichever fits ``b``'s rows:
+    one ``np.correlate`` per column of ``b``."""
+    return np.stack([np.correlate(x, c, "valid") for c in b.T], axis=1)
+
+
+def _hankel_gram(x, rows):
+    """``h @ h.T`` for the ``rows``-row Hankel matrix ``h[i, j] = x[i + j]``.
+
+    Row 0 is one correlation; each later row of the upper triangle follows
+    from the one above by the displacement recurrence
+    ``G[i+1, j+1] = G[i, j] - x_i x_j + x_{i+n} x_{j+n}``, n the column count.
+    """
+    n = len(x) - rows + 1
+    gram = np.empty((rows, rows))
+    gram[0] = gram[:, 0] = np.correlate(x, x[:n], "valid")
+    for i in range(rows - 1):
+        step = x[i + n] * x[i + n:] - x[i] * x[i:rows - 1]
+        gram[i + 1, i + 1:] = gram[i + 1:, i + 1] = gram[i, i:-1] + step
+    return gram
+
+
+def _spread(b, center):
+    """``T @ b`` for the ``(len(b) + 1) x len(b)`` prefix-sum matrix T of row
+    ``center``: row i is ``b[center:i].sum(0)`` for i > center and
+    ``-b[i:center].sum(0)`` for i < center, both summed outward from
+    ``center``, whose own row is zero."""
+    out = np.zeros((len(b) + 1,) + b.shape[1:])
+    np.cumsum(b[center:], axis=0, out=out[center + 1:])
+    below = out[:center][::-1]
+    np.cumsum(b[:center][::-1], axis=0, out=below)
+    np.negative(below, out=below)
+    return out
+
+
+def _spread_adjoint(q, center):
+    """``T.T @ q`` for the T of ``_spread``: row k is ``q[k + 1:].sum(0)``
+    for k >= center and ``-q[:k + 1].sum(0)`` for k < center."""
+    out = np.empty((len(q) - 1,) + q.shape[1:])
+    np.cumsum(q[:center], axis=0, out=out[:center])
+    np.negative(out[:center], out=out[:center])
+    np.cumsum(q[center + 1:][::-1], axis=0, out=out[center:][::-1])
+    return out
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -235,7 +312,8 @@ def pseudo_inverse(a) -> np.ndarray:
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    vt *= inv[:, None]
+    return vt.T @ u.T
 
 
 def eigen_nonsymmetric(a) -> Spectrum:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# fit does not call center_hankel (thin_svd centers block by block), but
+# fit does not call center_hankel (thin_svd centers the window itself), but
 # perfbench/spans.py looks center_hankel up in this module to trace it, so
 # it stays imported here.
 from .embedding import (
@@ -223,7 +223,11 @@ def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
         predicted += np.outer(
             ext_discrete[:, state_dim] / sigma_r, sigma_r * v1_full[-1]
         )
-    residual = float(np.max(np.linalg.norm(v2_state - predicted, axis=0)))
+    # The error overwrites the prediction and is squared in place: the
+    # operations of np.linalg.norm(axis=0), without its two temporaries
+    # the size of V.
+    error = np.square(np.subtract(v2_state, predicted, out=predicted), out=predicted)
+    residual = float(np.max(np.sqrt(np.add.reduce(error, axis=0))))
     signs = _band_orientation(ext_discrete)
     row, col = signs[:state_dim, None], signs[None, :]
     ext_discrete, ext_continuous = row * ext_discrete * col, row * ext_continuous * col
@@ -255,11 +259,12 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
 
     One pipeline serves both methods: build the Hankel window, take the
     bases of it (centered on request), regress, orient the band. The
-    window is a view of the series, and ``thin_svd`` subtracts the central
-    row block by block, so neither the Hankel matrix nor its centered copy
-    is ever held in full. The regression maps the reduced coordinates of
-    columns 1..n-1 (all rank rows) to the state rows of columns 2..n; with
-    forcing, the last column of its solution is the forcing coupling. ``config.method`` picks only where
+    window is a view of the series, and ``thin_svd`` takes its products
+    with the (centered) window from the series itself, so neither the
+    Hankel matrix nor its centered copy is ever formed. The regression
+    maps the reduced coordinates of columns 1..n-1 (all rank rows) to the
+    state rows of columns 2..n; with forcing, the last column of its
+    solution is the forcing coupling. ``config.method`` picks only where
     the two bases come from: ``havok`` reads one SVD's V^T at two shifts,
     ``shavok`` takes one SVD of each shifted column half (ranks r and
     state_dim), the second sign-aligned to the first.
@@ -287,6 +292,7 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
         for j in range(state_dim):
             if float(svd.u[:, j] @ second_svd.u[:, j]) < 0.0:
                 v2_state[j] = -v2_state[j]
+        del second_svd  # free its V early: v2_state is all the fit needs of it
     ext_discrete, ext_continuous = _regress(
         v1_full, v2_state, dt, state_dim, config.derivative_scheme
     )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayframe import linalg
+from delayframe.embedding import TimeSeries, build_hankel, split_shift
 from delayframe.errors import DataError, DegenerateInputError, ParameterError
 from delayframe.linalg import (
     as_matrix,
@@ -75,44 +75,71 @@ _NEAR_PAIR = np.array([1.0, 0.5, 0.5 * (1.0 + 1e-9), 0.1, 1e-3])
 
 @pytest.mark.parametrize("shape", [(40, 900), (900, 40)])
 @pytest.mark.parametrize("sigma", [_GRADED, _NEAR_PAIR], ids=["graded", "near-pair"])
-def test_thin_svd_matches_dense_svd(rng, dense_svd, monkeypatch, shape, sigma):
+def test_thin_svd_matches_dense_svd(rng, dense_svd, shape, sigma):
     a = _graded_matrix(rng, shape, sigma)
-    one_block = linalg._BLOCK_BYTES
-    # Blocks of 7 columns of the 40-row wide orientation: its 900 columns
-    # leave a ragged last block of 4.
-    seven_columns = 7 * 8 * min(shape)
     for center in (None, 13):
-        dense = a if center is None else a - a[center]
-        full = np.linalg.svd(dense, compute_uv=False)
-        gaps = np.minimum(-np.diff(full, prepend=np.inf),
-                          -np.diff(full, append=0.0))
-        for block_bytes in (one_block, seven_columns):
-            monkeypatch.setattr(linalg, "_BLOCK_BYTES", block_bytes)
-            for rank in range(1, len(sigma) + 1):
-                svd = thin_svd(a, rank, center=center)
-                ref = dense_svd(a, rank, center)
-                np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
-                                           atol=1e-12 * ref.sigma[0])
-                if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
-                    # Below the Gram floor thin_svd is the dense SVD, bit
-                    # for bit.
-                    np.testing.assert_array_equal(svd.u, ref.u)
-                    np.testing.assert_array_equal(svd.sigma, ref.sigma)
-                    np.testing.assert_array_equal(svd.v, ref.v)
-                    continue
-                for j in range(rank):
-                    if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
-                        continue
-                    for got, want in ((svd.u[:, j], ref.u[:, j]),
-                                      (svd.v[:, j], ref.v[:, j])):
-                        err = min(np.abs(got - want).max(),
-                                  np.abs(got + want).max())
-                        assert err < 1e-8, (center, block_bytes, rank, j, err)
+        _assert_matches_dense_svd(a, center, range(1, len(sigma) + 1), dense_svd)
+
+
+def _assert_matches_dense_svd(a, center, ranks, dense_svd):
+    """thin_svd(a, rank, center) agrees with the dense oracle: sigma to
+    1e-12 sigma_1, the well-separated vectors to 1e-8, and bit for bit
+    below the Gram floor."""
+    dense = a if center is None else a - a[center]
+    full = np.linalg.svd(dense, compute_uv=False)
+    gaps = np.minimum(-np.diff(full, prepend=np.inf),
+                      -np.diff(full, append=0.0))
+    for rank in ranks:
+        svd = thin_svd(a, rank, center=center)
+        ref = dense_svd(a, rank, center)
+        np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
+                                   atol=1e-12 * ref.sigma[0])
+        if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
+            # Below the Gram floor thin_svd is the dense SVD, bit for bit.
+            np.testing.assert_array_equal(svd.u, ref.u)
+            np.testing.assert_array_equal(svd.sigma, ref.sigma)
+            np.testing.assert_array_equal(svd.v, ref.v)
+            continue
+        for j in range(rank):
+            if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
+                continue
+            for got, want in ((svd.u[:, j], ref.u[:, j]),
+                              (svd.v[:, j], ref.v[:, j])):
+                err = min(np.abs(got - want).max(), np.abs(got + want).max())
+                assert err < 1e-8, (center, rank, j, err)
+
+
+def _three_tones(samples, offset):
+    t = 0.05 * np.arange(samples)
+    return TimeSeries(t0=0.0, dt=0.05, values=offset + np.sin(t)
+                      + 0.5 * np.sin(2.3 * t) + 0.25 * np.sin(3.7 * t))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+@pytest.mark.parametrize("delays, samples", [(41, 1040), (201, 301)],
+                         ids=["wide", "tall"])
+def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
+                                              samples):
+    # Hankel windows take their products from the series: both split
+    # halves and the reversed window too, centered on each end and the
+    # middle. Offsets push the uncentered spectrum under the Gram floor
+    # (dense route) and test that centering loses nothing to them. Rank 1
+    # takes the Gram route, 2 the dense one when uncentered with an
+    # offset, 6 the Gram route when centered, 7 the dense one.
+    emb = build_hankel(_three_tones(samples, offset), delays)
+    first, second = split_shift(emb)
+    windows = [emb.matrix, first.matrix, second.matrix, emb.matrix[::-1, ::-1]]
+    for a in windows:
+        assert a.strides[0] == a.strides[1]
+        rows = a.shape[0]
+        for center in (None, 0, rows // 2, rows - 1):
+            _assert_matches_dense_svd(a, center, (1, 2, 6, 7), dense_svd)
 
 
 def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
     # Above the floor the only SVD taken is of the small delays x rank
-    # projection, never of the full matrix.
+    # projection, never of the full matrix, whether the matrix is held in
+    # memory or is a Hankel window of a series.
     shapes = []
     svd = np.linalg.svd
 
@@ -123,7 +150,11 @@ def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     thin_svd(_graded_matrix(rng, (30, 500), _GRADED[:4]), 3)
     thin_svd(_graded_matrix(rng, (500, 30), _GRADED[:4]), 3)
-    assert shapes == [(30, 3), (30, 3)]
+    window = build_hankel(_three_tones(529, 0.0), 30).matrix
+    for center in (None, 15):
+        thin_svd(window, 3, center=center)
+        thin_svd(window.T, 3, center=center)
+    assert shapes == [(30, 3)] * 6
 
 
 def test_thin_svd_falls_back_when_gram_overflows(dense_svd):
@@ -132,6 +163,15 @@ def test_thin_svd_falls_back_when_gram_overflows(dense_svd):
     ref = dense_svd(a, 2)
     np.testing.assert_array_equal(svd.sigma, ref.sigma)
     np.testing.assert_array_equal(svd.u, ref.u)
+    # A window of a series with one 1e200 sample overflows its Gram too.
+    values = np.arange(12.0)
+    values[5] = 1e200
+    window = build_hankel(TimeSeries(t0=0.0, dt=1.0, values=values), 3).matrix
+    for a in (window, window.T):
+        svd = thin_svd(a, 2)
+        ref = dense_svd(a, 2)
+        np.testing.assert_array_equal(svd.sigma, ref.sigma)
+        np.testing.assert_array_equal(svd.u, ref.u)
 
 
 def test_pseudo_inverse_moore_penrose(rng):
