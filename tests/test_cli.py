@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import delayframe
-from delayframe import models
+from delayframe import cli, models
 from delayframe.cli import format_series_csv, load_series_csv, main
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DataError
@@ -214,6 +215,61 @@ def test_plotdata_rows_match_per_cell_repr(tmp_path, two_tone, rank, forcing):
         cells.append(repr(float(rollout[k, 0])))
         expected.append(",".join(cells))
     assert rows == expected
+
+
+def _plotdata_one_shot(model, echo):
+    """Reference: the whole table stacked, listed and joined at once."""
+    v = model.basis.v
+    forced = model.b_discrete is not None
+    forcing = models.forcing_signal(model).values if forced else None
+    rollout = models.reconstruct(model, v[0, :model.state_dim], v.shape[0],
+                                 forcing)
+    header = ["time"] + [f"v{i + 1}" for i in range(model.config.rank)]
+    if forced:
+        header.append("forcing")
+    header.append("recon_v1")
+    lines = ["# config: " + json.dumps(echo, sort_keys=True), ",".join(header)]
+    columns = [model.t0 + np.arange(v.shape[0]) * model.dt, v]
+    if forced:
+        columns.append(forcing)
+    columns.append(rollout[:, 0])
+    lines.extend(",".join(map(repr, row))
+                 for row in np.column_stack(columns).tolist())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rank, forcing", [(4, False), (5, True)])
+def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
+                                                    rank, forcing):
+    # Any block size, down to one row and past the row count, gives the
+    # bytes of the table formatted in one piece.
+    model = models.fit(two_tone, models.FitConfig(
+        delays=41, rank=rank, forcing=forcing))
+    echo = {"input": "two_tone", "forcing": forcing}
+    expected = _plotdata_one_shot(model, echo).encode()
+    n = model.basis.v.shape[0]
+    for rows in (1, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows)
+        assert cli._plotdata_csv(model, echo).encode() == expected, rows
+
+
+def test_plotdata_peak_memory_stays_near_its_text():
+    # The finished blocks and their join are two texts; the rows of one
+    # block and the rollout add little. Formatting the table in one piece
+    # held its row lists, row strings, join and newline copy at once.
+    t = 0.01 * np.arange(30_000)
+    x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + np.sin(2.0 * t))
+    model = models.fit(x, models.FitConfig(delays=41, rank=5))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        text = cli._plotdata_csv(model, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 @pytest.mark.parametrize("under", [False, True])
