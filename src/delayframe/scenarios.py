@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics, models, preprocess, systems
-from .embedding import TimeSeries, build_hankel, center_hankel
+from .embedding import TimeSeries, build_hankel, center_index
 from .errors import ParameterError
 from .geometry import analytic_curvatures_gram, curvatures_from_model, derivative_stack
 
@@ -97,8 +97,8 @@ def _structure_row(x: TimeSeries, cfg: models.FitConfig) -> dict:
 
 def _curvature():
     series = systems.preset_series("two_tone")[0]
-    emb = center_hankel(build_hankel(series, 41))
-    d1, d2, d3, d4 = derivative_stack(emb.center_row, series.dt, 4)
+    center_row = build_hankel(series, 41).matrix[center_index(41)]
+    d1, d2, d3, d4 = derivative_stack(center_row, series.dt, 4)
     analytic = analytic_curvatures_gram(d1, d2, d3, d4)
     rows = {"analytic": list(analytic)}
     for method in ("havok", "shavok"):
@@ -261,8 +261,8 @@ def _derivative_ratio():
             dt=dt, samples=samples,
         )
         series = systems.measure(systems.simulate(spec), "x")
-        emb = center_hankel(build_hankel(series, delays))
-        d1, d2 = derivative_stack(emb.center_row, dt, 2)
+        center_row = build_hankel(series, delays).matrix[center_index(delays)]
+        d1, d2 = derivative_stack(center_row, dt, 2)
         ratio = 2.0 * float(np.linalg.norm(d2)) / float(np.linalg.norm(d1))
         payload["ratios"].append({"columns": columns, "ratio": ratio})
         lines.append(f"n = {columns}: ratio = {ratio:.4f}")

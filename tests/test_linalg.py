@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delayframe import linalg
 from delayframe.embedding import TimeSeries, build_hankel, split_shift
 from delayframe.errors import DataError, DegenerateInputError, ParameterError
 from delayframe.linalg import (
@@ -83,24 +84,38 @@ def test_thin_svd_matches_dense_svd(rng, dense_svd, shape, sigma):
 
 def _assert_matches_dense_svd(a, center, ranks, dense_svd):
     """thin_svd(a, rank, center) agrees with the dense oracle: sigma to
-    1e-12 sigma_1, the well-separated vectors to 1e-8, and bit for bit
-    below the Gram floor."""
+    1e-12 sigma_1 and the well-separated vectors to 1e-8.
+
+    Below the Gram floor this holds for every pair whose residual, taken
+    here on the dense matrix, meets thin_svd's stopping tolerance
+    ``eps * sigma_1 * sqrt(max(a.shape))``. A pair that misses it (its
+    passes ran out) is still a Ritz pair: sigma_j is no larger than the
+    oracle's, and some singular value of the matrix, or 0, lies within
+    its residual over sqrt(2) of sigma_j.
+    """
     dense = a if center is None else a - a[center]
     full = np.linalg.svd(dense, compute_uv=False)
     gaps = np.minimum(-np.diff(full, prepend=np.inf),
                       -np.diff(full, append=0.0))
+    tol = np.finfo(float).eps * np.sqrt(max(a.shape))
     for rank in ranks:
         svd = thin_svd(a, rank, center=center)
         ref = dense_svd(a, rank, center)
-        np.testing.assert_allclose(svd.sigma, ref.sigma, rtol=0.0,
-                                   atol=1e-12 * ref.sigma[0])
+        atol = 1e-12 * ref.sigma[0]
+        converged = np.ones(rank, dtype=bool)
         if ref.sigma[-1] <= 1e-6 * ref.sigma[0]:
-            # Below the Gram floor thin_svd is the dense SVD, bit for bit.
-            np.testing.assert_array_equal(svd.u, ref.u)
-            np.testing.assert_array_equal(svd.sigma, ref.sigma)
-            np.testing.assert_array_equal(svd.v, ref.v)
-            continue
-        for j in range(rank):
+            residual = np.hypot(
+                np.linalg.norm(dense @ svd.v - svd.u * svd.sigma, axis=0),
+                np.linalg.norm(dense.T @ svd.u - svd.v * svd.sigma, axis=0))
+            converged = residual <= tol * svd.sigma[0]
+            for j in np.flatnonzero(~converged):
+                assert svd.sigma[j] <= ref.sigma[j] + atol, (center, rank, j)
+                dist = np.abs(np.append(full, 0.0) - svd.sigma[j]).min()
+                assert dist <= residual[j] / np.sqrt(2.0) + atol, (
+                    center, rank, j, dist, residual[j])
+        np.testing.assert_allclose(svd.sigma[converged], ref.sigma[converged],
+                                   rtol=0.0, atol=atol)
+        for j in np.flatnonzero(converged):
             if full[j] < 1e-3 * full[0] or gaps[j] < 1e-3 * full[0]:
                 continue
             for got, want in ((svd.u[:, j], ref.u[:, j]),
@@ -123,9 +138,9 @@ def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
     # Hankel windows take their products from the series: both split
     # halves and the reversed window too, centered on each end and the
     # middle. Offsets push the uncentered spectrum under the Gram floor
-    # (dense route) and test that centering loses nothing to them. Rank 1
-    # takes the Gram route, 2 the dense one when uncentered with an
-    # offset, 6 the Gram route when centered, 7 the dense one.
+    # (repeated passes) and test that centering loses nothing to them.
+    # Rank 1 takes one pass, 2 repeated ones when uncentered with an
+    # offset, 6 one pass when centered, 7 repeated ones.
     emb = build_hankel(_three_tones(samples, offset), delays)
     first, second = split_shift(emb)
     windows = [emb.matrix, first.matrix, second.matrix, emb.matrix[::-1, ::-1]]
@@ -136,10 +151,8 @@ def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
             _assert_matches_dense_svd(a, center, (1, 2, 6, 7), dense_svd)
 
 
-def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
-    # Above the floor the only SVD taken is of the small delays x rank
-    # projection, never of the full matrix, whether the matrix is held in
-    # memory or is a Hankel window of a series.
+def _svd_calls(monkeypatch):
+    """Record each np.linalg.svd call's argument shape in the list returned."""
     shapes = []
     svd = np.linalg.svd
 
@@ -148,30 +161,67 @@ def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    thin_svd(_graded_matrix(rng, (30, 500), _GRADED[:4]), 3)
-    thin_svd(_graded_matrix(rng, (500, 30), _GRADED[:4]), 3)
+    return shapes
+
+
+def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
+    # Every SVD taken is of a small delays x rank projection, never of the
+    # full matrix, whether the matrix is held in memory or is a Hankel
+    # window of a series. Above the Gram floor one pass takes one such SVD;
+    # below it (a graded matrix down to 1e-8, an offset-1e9 window) any
+    # further pass takes one more.
+    shapes = _svd_calls(monkeypatch)
     window = build_hankel(_three_tones(529, 0.0), 30).matrix
-    for center in (None, 15):
-        thin_svd(window, 3, center=center)
-        thin_svd(window.T, 3, center=center)
-    assert shapes == [(30, 3)] * 6
+    above = [(_graded_matrix(rng, (30, 500), _GRADED[:4]), None),
+             (_graded_matrix(rng, (500, 30), _GRADED[:4]), None)]
+    above += [(a, center) for center in (None, 15) for a in (window, window.T)]
+    for a, center in above:
+        shapes.clear()
+        thin_svd(a, 3, center=center)
+        assert shapes == [(30, 3)], (a.shape, center, shapes)
+    offset = build_hankel(_three_tones(529, 1e9), 30).matrix
+    below = [(_graded_matrix(rng, (30, 500), _GRADED[:9]), 9),
+             (offset, 2), (offset.T, 2)]
+    for a, rank in below:
+        shapes.clear()
+        thin_svd(a, rank)
+        assert shapes and set(shapes) == {(30, rank)}, (a.shape, shapes)
 
 
-def test_thin_svd_falls_back_when_gram_overflows(dense_svd):
+@pytest.mark.filterwarnings("error")
+def test_thin_svd_scales_away_gram_overflow(dense_svd):
+    # Squaring a 1e200 entry would overflow. thin_svd scales the matrix by
+    # a power of two first, so it runs without a warning and its singular
+    # values match the dense SVD's.
     a = np.array([[1e200, 1.0, 2.0], [3.0, 4.0, 5.0]])
-    svd = thin_svd(a, 2)
-    ref = dense_svd(a, 2)
-    np.testing.assert_array_equal(svd.sigma, ref.sigma)
-    np.testing.assert_array_equal(svd.u, ref.u)
-    # A window of a series with one 1e200 sample overflows its Gram too.
+    np.testing.assert_allclose(thin_svd(a, 2).sigma, dense_svd(a, 2).sigma,
+                               rtol=1e-12)
+    # A window of a series with one 1e200 sample: the series is scaled.
     values = np.arange(12.0)
     values[5] = 1e200
     window = build_hankel(TimeSeries(t0=0.0, dt=1.0, values=values), 3).matrix
     for a in (window, window.T):
-        svd = thin_svd(a, 2)
-        ref = dense_svd(a, 2)
-        np.testing.assert_array_equal(svd.sigma, ref.sigma)
-        np.testing.assert_array_equal(svd.u, ref.u)
+        np.testing.assert_allclose(thin_svd(a, 2).sigma, dense_svd(a, 2).sigma,
+                                   rtol=1e-12)
+
+
+def test_thin_svd_returns_the_last_pass_on_a_near_degenerate_pair(rng,
+                                                                 monkeypatch):
+    # sigma_4 / sigma_3 = 0.999 below the Gram floor: each pass gains only
+    # a factor 0.999^2, so the residual cannot reach rounding level and the
+    # pass budget runs out. The last Ritz triple comes back: orthonormal,
+    # nonincreasing, and no singular value above the matrix's own.
+    sigma = np.array([1.0, 0.5, 1e-7, 0.999e-7, 1e-8])
+    a = _graded_matrix(rng, (40, 900), sigma)
+    shapes = _svd_calls(monkeypatch)
+    svd = thin_svd(a, 3)
+    assert shapes == [(40, 3)] * linalg._MAX_PASSES
+    np.testing.assert_allclose(svd.u.T @ svd.u, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(svd.v.T @ svd.v, np.eye(3), atol=1e-12)
+    assert np.all(np.diff(svd.sigma) <= 0.0)
+    assert np.all(svd.sigma <= sigma[:3] + 1e-12 * sigma[0])
+    residual = np.linalg.norm(a.T @ svd.u - svd.v * svd.sigma, axis=0)
+    assert residual[2] > np.finfo(float).eps * np.sqrt(900)
 
 
 def test_pseudo_inverse_moore_penrose(rng):
