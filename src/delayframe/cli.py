@@ -3,10 +3,13 @@
 Subcommands compose the library into reproducible experiments: simulate a
 named preset, fit a model from a preset or CSV, emit spectra and structure
 reports, run the sampling-period/column-count sweep, or reproduce one of
-the named verification scenarios. Everything is deterministic at a fixed
-BLAS thread count: rerunning a command with the same thread count
-overwrites its outputs with byte-identical content. Another thread count
-sums in another order, which moves the numbers in their last bits.
+the named verification scenarios. Everything is deterministic: rerunning
+a command overwrites its outputs with byte-identical content, at any
+thread count of the same OpenBLAS build, because ``main`` runs each
+command on one BLAS thread (another count would sum in another order
+and move the numbers in their last bits). The pin is process-wide while
+``main`` runs and is undone when it returns; library calls run at the
+caller's thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error (each error class's ``exit_code``).
@@ -28,6 +31,7 @@ from . import diagnostics, models, preprocess, systems
 from .embedding import TimeSeries
 from .errors import DataError, DelayFrameError, NumericalError, ParameterError
 from .geometry import curvatures_from_model
+from .linalg import _one_blas_thread
 from .scenarios import SCENARIOS, run_sweep
 
 __all__ = ["PipelineConfig", "run_pipeline", "main"]
@@ -448,7 +452,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        with _one_blas_thread():
+            return _run(args)
     except (ParameterError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

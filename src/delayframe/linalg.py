@@ -23,10 +23,17 @@ iteration on the same products (Halko, Martinsson and Tropp, SIAM Review
 2011, section 4.5), until every pair's residual is at rounding level or
 eight passes have run. The input is scaled by a power of two first, so
 no product overflows and the factors keep their bits.
+
+``_one_blas_thread`` runs a block with numpy's BLAS on one thread; the
+command line wraps each command in it. The library's routines run at
+whatever thread count their caller has.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -366,6 +373,48 @@ def eigen_nonsymmetric(a) -> Spectrum:
     norms = np.linalg.norm(vecs, axis=0)
     vecs = vecs / norms
     return Spectrum(eigenvalues=w, eigenvectors=vecs)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's BLAS on one thread, then restore the count.
+
+    The setting is process-wide, so every thread's BLAS calls run on one
+    thread while the body runs, and two bodies that overlap in different
+    threads can leave it at one. With a BLAS whose thread count cannot
+    be set this way (no OpenBLAS setter resolves), the body runs as is.
+    """
+    get_threads, set_threads = _blas_thread_functions()
+    if set_threads is None:
+        yield
+        return
+    count = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(count)
+
+
+@functools.cache
+def _blas_thread_functions():
+    """OpenBLAS's thread-count getter and setter as numpy loaded it, or
+    ``(None, None)``.
+
+    Symbols are looked up through numpy's linalg extension, whose handle
+    also searches the libraries it links, under each name OpenBLAS builds
+    export (plain or ``scipy_`` prefixed, LP64 or ``64_`` suffixed).
+    """
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_"):
+            getter = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+            setter = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None, None
 
 
 def gram_schmidt(vectors):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import delayframe
-from delayframe import cli, models
+from delayframe import cli, linalg, models
 from delayframe.cli import format_series_csv, load_series_csv, main
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DataError
@@ -144,6 +144,95 @@ def test_fit_is_idempotent(tmp_path):
     assert main(args + ["--out-dir", str(b)]) == 0
     for name in ("model.json", "spectrum.json", "report.json", "plotdata.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_fit_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Two OpenBLAS threads sum the 401-row Gram matrix and the correlations
+    # in another order than one, unless the command pins one thread.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(delayframe.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "delayframe", "fit",
+                        "--input", "lorenz_sweep", "--delays", "401",
+                        "--rank", "4", "--method", "shavok",
+                        "--out-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["model.json", "plotdata.csv", "report.json", "spectrum.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class _FakeBlas:
+    """A BLAS thread count read and set through recording callables."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        self.calls.append("get")
+        return self.threads
+
+    def set(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture()
+def fake_blas(monkeypatch):
+    blas = _FakeBlas(3)
+    monkeypatch.setattr(linalg, "_blas_thread_functions",
+                        lambda: (blas.get, blas.set))
+    return blas
+
+
+def test_main_runs_the_fit_on_one_blas_thread(tmp_path, monkeypatch, fake_blas):
+    seen = []
+    fit = models.fit
+
+    def recording_fit(series, cfg):
+        seen.append(fake_blas.threads)
+        return fit(series, cfg)
+
+    monkeypatch.setattr(models, "fit", recording_fit)
+    code = main(["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+                 "--no-forcing", "--out-dir", str(tmp_path / "o")])
+    assert code == 0
+    assert seen == [1]
+    assert fake_blas.calls == ["get", 1, 3]
+    assert fake_blas.threads == 3
+
+
+def test_main_restores_the_blas_threads_after_each_error_exit(tmp_path, capsys,
+                                                             fake_blas):
+    flat = TimeSeries(t0=0.0, dt=0.01, values=np.zeros(100))
+    flat_csv = _write(tmp_path / "flat.csv", format_series_csv(flat))
+    out = str(tmp_path / "o")
+    for expected, source, delays, rank in ((2, "two_tone", "5", "9"),
+                                           (3, str(tmp_path / "no.csv"), "5", "3"),
+                                           (4, flat_csv, "11", "3")):
+        fake_blas.calls.clear()
+        assert main(["fit", "--input", source, "--delays", delays,
+                     "--rank", rank, "--out-dir", out]) == expected
+        assert fake_blas.calls == ["get", 1, 3]
+        assert fake_blas.threads == 3
+    assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_main_without_a_blas_thread_setter_writes_the_same_bytes(tmp_path,
+                                                                 monkeypatch):
+    args = ["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+            "--no-forcing"]
+    pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
+    assert main(args + ["--out-dir", str(pinned)]) == 0
+    monkeypatch.setattr(linalg, "_blas_thread_functions", lambda: (None, None))
+    assert main(args + ["--out-dir", str(unpinned)]) == 0
+    for name in ("model.json", "spectrum.json", "report.json", "plotdata.csv"):
+        assert (pinned / name).read_bytes() == (unpinned / name).read_bytes()
 
 
 def test_fit_on_csv_round_trip_matches_preset(tmp_path):

@@ -303,3 +303,13 @@ def test_gram_schmidt_span_property(seed):
             continue
         resid = v - q @ (q.T @ v)
         assert np.linalg.norm(resid) <= 1e-9 * max(np.linalg.norm(v), 1.0)
+
+
+def test_one_blas_thread_sets_one_and_restores_the_count():
+    get_threads, set_threads = linalg._blas_thread_functions()
+    if set_threads is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
+    before = get_threads()
+    with linalg._one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
