@@ -220,15 +220,13 @@ def _stability():
         norms = np.linalg.norm(window, axis=1)
         initial = float(np.linalg.norm(model.basis.v[0, :model.state_dim]))
         # Long homogeneous rollout: the spectral gap decides boundedness.
-        # The peak squared norm, square-rooted once: sqrt is monotone and
-        # correctly rounded, so this equals the peak of np.linalg.norm(v).
-        v = model.basis.v[0, :model.state_dim].copy()
-        peak_sq = float(v.dot(v))
-        for _ in range(rollout_steps):
-            v = model.a_discrete @ v
-            n_sq = float(v.dot(v))
-            if n_sq > peak_sq:
-                peak_sq = n_sq
+        # The peak squared row norm, square-rooted once: sqrt is monotone,
+        # so it picks the same row as the peak of the row norms.
+        homogeneous = models.reconstruct(
+            model, model.basis.v[0, :model.state_dim], rollout_steps + 1,
+            np.zeros(rollout_steps),
+        )
+        peak_sq = np.max(np.einsum("ij,ij->i", homogeneous, homogeneous))
         peak = float(np.sqrt(peak_sq))
         payload[method] = {
             "max_real_part": max_re,

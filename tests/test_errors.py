@@ -183,6 +183,27 @@ RULES = [
                  "dt_new must be positive and finite, got -0.1", id="pos-resample"),
     pytest.param(lambda: _spec(dt=math.inf), ParameterError,
                  "dt must be positive and finite, got inf", id="pos-SystemSpec"),
+    # finite rollout inputs
+    pytest.param(
+        lambda: models.reconstruct(_MODEL, [0.0, math.nan], 3, np.zeros(2)),
+        ParameterError, "v0 must be finite", id="finite-reconstruct-v0-nan",
+    ),
+    pytest.param(
+        lambda: models.reconstruct(_MODEL, [math.inf, 0.0], 1),
+        ParameterError, "v0 must be finite", id="finite-reconstruct-v0-inf",
+    ),
+    pytest.param(
+        lambda: models.reconstruct(_MODEL, np.zeros(2), 3, [0.0, math.nan, 0.0]),
+        ParameterError,
+        "forcing_series must be finite over its first steps - 1 = 2 values",
+        id="finite-reconstruct-forcing-nan",
+    ),
+    pytest.param(
+        lambda: models.reconstruct(_MODEL, np.zeros(2), 3, [-math.inf, 0.0]),
+        ParameterError,
+        "forcing_series must be finite over its first steps - 1 = 2 values",
+        id="finite-reconstruct-forcing-inf",
+    ),
 ]
 
 
