@@ -7,8 +7,9 @@ to callers.
 
 ``thin_svd`` needs only a few leading triplets of a matrix that is much
 wider than it is tall (or the transpose), so it works on the short side:
-it forms the Gram matrix ``a @ a.T``, takes its eigenvectors with
-``eigh``, and refines them with Rayleigh-Ritz passes on ``a`` itself.
+it forms the Gram matrix ``a @ a.T``, takes its leading eigenvectors by
+block subspace iteration (``eigh`` only of a block of rank + 4 Ritz
+vectors), and refines them with Rayleigh-Ritz passes on ``a`` itself.
 A Hankel window (``a[i, j] = x[i + j]``, recognized by its equal strides,
 such as a ``sliding_window_view``) is never formed: its three products
 come from the series, the Gram matrix by the displacement recurrence and
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +68,12 @@ _GRAM_FLOOR = 1e-12
 # many passes sits so close to the next one that the data hardly fix its
 # vectors, and the last pass stands.
 _MAX_PASSES = 8
+
+# _leading_eigenpairs iterates on a block of rank + _OVERSAMPLE columns of
+# the Gram matrix; one that has not converged after _EIG_BUDGET steps
+# widens to the whole space.
+_OVERSAMPLE = 4
+_EIG_BUDGET = 64
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
 # zero; gram_schmidt drops a vector whose residual falls below this
@@ -131,8 +139,9 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
 
     The factors come from the short side's Gram matrix: with ``h`` the
     wide orientation of the (centered) matrix (``a`` itself, or ``a.T``
-    when ``a`` is tall), ``eigh(h @ h.T)`` gives the leading left basis
-    ``u``, then ``y = qr(h.T @ u)`` is an orthonormal trial basis for the
+    when ``a`` is tall), the leading eigenvectors of ``h @ h.T``
+    (``_leading_eigenpairs``) give the left basis ``u``, then
+    ``y = qr(h.T @ u)`` is an orthonormal trial basis for the
     right vectors and the SVD of the small matrix ``h @ y`` gives the
     singular values and rotates both bases (one Rayleigh-Ritz pass). When
     the rank-th Gram eigenvalue is at most ``1e-12`` times the largest,
@@ -193,15 +202,16 @@ def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):
     """Leading ``(u, sigma, v)`` of the wide orientation ``h``, seen only
     through its Gram matrix and the maps ``q -> h.T @ q``, ``y -> h @ y``.
 
-    Above ``_GRAM_FLOOR`` the first Ritz pass is returned. Below it, each
-    pass's residual product ``h.T @ u`` is checked against
-    ``eps * sigma_1 * sqrt(length)`` and, if it misses, starts the next
-    pass, up to ``_MAX_PASSES`` passes.
+    The first pass starts from the Gram matrix's ``rank`` leading
+    eigenvectors (``_leading_eigenpairs``). When the ratio of its Ritz
+    values theta_rank / theta_1 is above ``_GRAM_FLOOR``, that pass is
+    returned. Below it, each pass's residual product ``h.T @ u`` is
+    checked against ``eps * sigma_1 * sqrt(length)`` and, if it misses,
+    starts the next pass, up to ``_MAX_PASSES`` passes.
     """
-    w, q = np.linalg.eigh(gram)
-    q = q[:, :-rank - 1:-1].copy()
+    theta, q = _leading_eigenpairs(gram, rank)
     u, s, v = _ritz_pass(np.linalg.qr(h_t_times(q))[0], h_times)
-    if w[-rank] > _GRAM_FLOOR * w[-1]:
+    if theta[-1] > _GRAM_FLOOR * theta[0]:
         return u, s, v
     tol = np.finfo(float).eps * math.sqrt(length)
     for _ in range(_MAX_PASSES - 1):
@@ -210,6 +220,40 @@ def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):
             break
         u, s, v = _ritz_pass(np.linalg.qr(p)[0], h_times)
     return u, s, v
+
+
+def _leading_eigenpairs(gram, rank):
+    """The ``rank`` largest eigenvalues of the symmetric ``gram``,
+    nonincreasing, and their eigenvectors, by block subspace iteration
+    with Rayleigh-Ritz (Halko, Martinsson and Tropp, SIAM Review 2011,
+    section 4.5).
+
+    The block holds ``b = min(m, rank + _OVERSAMPLE)`` columns, m the order
+    of ``gram``. It starts from ``qr`` of b evenly spaced columns of
+    ``gram``, or from the identity when b = m. Each step forms
+    ``z = gram @ q`` and takes ``eigh`` of ``q.T @ z``; it stops once each
+    of the ``rank`` leading Ritz pairs (theta_j, y_j) meets
+    ``|gram @ y_j - theta_j y_j| <= sqrt(m) * eps * theta_1``, else takes
+    ``q = qr(z)``. A block that has not met it after ``_EIG_BUDGET`` steps
+    widens to the identity, whose Rayleigh-Ritz step is ``eigh(gram)``
+    itself, bit for bit.
+    """
+    m = len(gram)
+    b = min(m, rank + _OVERSAMPLE)
+    if b == m:
+        q = np.eye(m)
+    else:
+        q = np.linalg.qr(gram[:, np.arange(b) * (m - 1) // (b - 1)])[0]
+    tol = np.finfo(float).eps * math.sqrt(m)
+    for step in itertools.count(1):
+        z = gram @ q
+        w, s = np.linalg.eigh(q.T @ z)
+        theta, s = w[:-rank - 1:-1], s[:, :-rank - 1:-1]
+        vectors = q @ s
+        if (q.shape[1] == m
+                or _largest_residual(z @ s, theta, vectors) <= tol * theta[0]):
+            return theta, vectors
+        q = np.linalg.qr(z)[0] if step < _EIG_BUDGET else np.eye(m)
 
 
 def _ritz_pass(y, h_times):
@@ -290,8 +334,11 @@ def _window_products(x, rows, center, tall):
 
 def _correlate(x, b):
     """``hankel(x) @ b`` or ``hankel(x).T @ b``, whichever fits ``b``'s rows:
-    one ``np.correlate`` per column of ``b``."""
-    return np.stack([np.correlate(x, c, "valid") for c in b.T], axis=1)
+    one ``np.correlate`` per column of ``b``, written into one array."""
+    out = np.empty((len(x) - len(b) + 1, b.shape[1]))
+    for j, c in enumerate(b.T):
+        out[:, j] = np.correlate(x, c, "valid")
+    return out
 
 
 def _hankel_gram(x, rows):

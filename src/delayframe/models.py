@@ -193,17 +193,24 @@ def _regress(v1_full, v2_state, dt, state_dim, scheme):
     counterpart in the split method, enters at the left endpoint). Either
     way both the discrete and continuous extended matrices are returned,
     related exactly by a_ext_discrete = I_pad + dt * a_ext_continuous.
+
+    Each least-squares solution goes through the rank x rank normal
+    matrix, ``(y @ v.T) @ pinv(v @ v.T)``, which equals ``y @ pinv(v)``
+    and takes no SVD of the long rows. Squaring makes pseudo_inverse's
+    1e-12 cutoff act on sigma(v)^2; the rows of v1 are nearly
+    orthonormal (for the split method, exactly), so cond(v) is about 1
+    and no direction comes near the cutoff.
     """
     rank = v1_full.shape[0]
     pad = np.eye(state_dim, rank)
     if scheme == "forward":
-        ext_discrete = v2_state @ pseudo_inverse(v1_full)
+        ext_discrete = (v2_state @ v1_full.T) @ pseudo_inverse(v1_full @ v1_full.T)
         ext_continuous = (ext_discrete - pad) / dt
     else:
         deriv = (v2_state - v1_full[:state_dim]) / dt
         mid = v1_full.copy()
         mid[:state_dim] = 0.5 * (v1_full[:state_dim] + v2_state)
-        ext_continuous = deriv @ pseudo_inverse(mid)
+        ext_continuous = (deriv @ mid.T) @ pseudo_inverse(mid @ mid.T)
         ext_discrete = pad + dt * ext_continuous
     return ext_discrete, ext_continuous
 

@@ -13,6 +13,7 @@ from delayframe.linalg import (
     pseudo_inverse,
     thin_svd,
 )
+from delayframe.models import FitConfig, fit
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -151,16 +152,17 @@ def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
             _assert_matches_dense_svd(a, center, (1, 2, 6, 7), dense_svd)
 
 
-def _svd_calls(monkeypatch):
-    """Record each np.linalg.svd call's argument shape in the list returned."""
+def _calls(monkeypatch, name):
+    """Record each call's argument shape of ``np.linalg.<name>`` in the
+    list returned."""
     shapes = []
-    svd = np.linalg.svd
+    function = getattr(np.linalg, name)
 
-    def recording_svd(m, *args, **kwargs):
+    def recording(m, *args, **kwargs):
         shapes.append(np.shape(m))
-        return svd(m, *args, **kwargs)
+        return function(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, name, recording)
     return shapes
 
 
@@ -170,7 +172,7 @@ def test_thin_svd_factorizes_wide_matrix_through_gram(rng, monkeypatch):
     # window of a series. Above the Gram floor one pass takes one such SVD;
     # below it (a graded matrix down to 1e-8, an offset-1e9 window) any
     # further pass takes one more.
-    shapes = _svd_calls(monkeypatch)
+    shapes = _calls(monkeypatch, "svd")
     window = build_hankel(_three_tones(529, 0.0), 30).matrix
     above = [(_graded_matrix(rng, (30, 500), _GRADED[:4]), None),
              (_graded_matrix(rng, (500, 30), _GRADED[:4]), None)]
@@ -213,7 +215,7 @@ def test_thin_svd_returns_the_last_pass_on_a_near_degenerate_pair(rng,
     # nonincreasing, and no singular value above the matrix's own.
     sigma = np.array([1.0, 0.5, 1e-7, 0.999e-7, 1e-8])
     a = _graded_matrix(rng, (40, 900), sigma)
-    shapes = _svd_calls(monkeypatch)
+    shapes = _calls(monkeypatch, "svd")
     svd = thin_svd(a, 3)
     assert shapes == [(40, 3)] * linalg._MAX_PASSES
     np.testing.assert_allclose(svd.u.T @ svd.u, np.eye(3), atol=1e-12)
@@ -222,6 +224,85 @@ def test_thin_svd_returns_the_last_pass_on_a_near_degenerate_pair(rng,
     assert np.all(svd.sigma <= sigma[:3] + 1e-12 * sigma[0])
     residual = np.linalg.norm(a.T @ svd.u - svd.v * svd.sigma, axis=0)
     assert residual[2] > np.finfo(float).eps * np.sqrt(900)
+
+
+def _spd(seed, m, spectrum):
+    """A symmetric m x m matrix with the named kind of positive spectrum
+    and a random orthonormal eigenbasis."""
+    gen = np.random.default_rng(seed)
+    if spectrum == "graded":
+        w = 10.0 ** -gen.uniform(0.0, 16.0, m)
+    elif spectrum == "clustered":
+        centers = 10.0 ** -gen.uniform(0.0, 8.0, gen.integers(1, 4))
+        w = gen.choice(centers, m) * (1.0 + 1e-10 * gen.standard_normal(m))
+    elif spectrum == "near-degenerate":
+        w = np.repeat(10.0 ** -gen.uniform(0.0, 6.0, (m + 1) // 2), 2)[:m]
+        w[1::2] *= 1.0 - 1e-12
+    elif spectrum == "slow":
+        w = 0.99 ** np.arange(m)
+    else:
+        w = np.ones(m)
+    q = np.linalg.qr(gen.standard_normal((m, m)))[0]
+    g = (q * w) @ q.T
+    return 0.5 * (g + g.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from(["graded", "clustered", "near-degenerate", "slow", "flat"]),
+       st.data())
+def test_leading_eigenpairs_match_dense_eigh(seed, m, spectrum, data):
+    # The leading Ritz values lie within 8 sqrt(m) eps w_1 of eigh's, and
+    # each vector within 8 sqrt(m) eps w_1 / gap_j of eigh's (the
+    # Davis-Kahan bound of a residual at the stopping tolerance). A block
+    # as wide as the matrix, or one widened after its step budget (the
+    # slow 0.99^k spectrum), takes eigh of the matrix itself: the same
+    # bits. Reruns give the same bits.
+    rank = data.draw(st.integers(min_value=1, max_value=m))
+    g = _spd(seed, m, spectrum)
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _calls(mp, "eigh")
+        theta, vectors = linalg._leading_eigenpairs(g, rank)
+    again = linalg._leading_eigenpairs(g, rank)
+    assert np.array_equal(theta, again[0]) and np.array_equal(vectors, again[1])
+    w, q = np.linalg.eigh(g)
+    w, q = w[:-rank - 1:-1], q[:, :-rank - 1:-1]
+    if shapes[-1] == (m, m):
+        assert np.array_equal(theta, w) and np.array_equal(vectors, q)
+        return
+    assert len(shapes) <= linalg._EIG_BUDGET
+    assert set(shapes) == {(rank + linalg._OVERSAMPLE,) * 2}
+    full = np.linalg.eigvalsh(g)[::-1]
+    tol = 8.0 * np.sqrt(m) * np.finfo(float).eps * full[0]
+    np.testing.assert_allclose(theta, w, rtol=0.0, atol=tol)
+    gaps = np.minimum(-np.diff(full, prepend=np.inf),
+                      -np.diff(full, append=-np.inf))
+    for j in range(rank):
+        err = min(np.abs(vectors[:, j] - q[:, j]).max(),
+                  np.abs(vectors[:, j] + q[:, j]).max())
+        assert err * gaps[j] <= tol, (j, err, gaps[j])
+
+
+def test_leading_eigenpairs_widen_after_the_step_budget(monkeypatch):
+    # On the 0.99^k spectrum each step gains only 0.99^4 on the block of
+    # rank + 4: the budget runs out and the block widens to eigh itself.
+    g = _spd(7, 60, "slow")
+    shapes = _calls(monkeypatch, "eigh")
+    theta, vectors = linalg._leading_eigenpairs(g, 3)
+    assert shapes == [(7, 7)] * linalg._EIG_BUDGET + [(60, 60)]
+    w, q = np.linalg.eigh(g)
+    assert np.array_equal(theta, w[:-4:-1]) and np.array_equal(vectors, q[:, :-4:-1])
+
+
+def test_shavok_fit_takes_eigh_of_small_blocks_only(series_cache, monkeypatch):
+    # A 401-delay sHAVOK fit: each half's Gram is 401 x 401, yet every eigh
+    # is of a Ritz block of at most rank + 4, and neither half widens.
+    shapes = _calls(monkeypatch, "eigh")
+    cfg = FitConfig(delays=401, rank=4, method="shavok")
+    fit(series_cache("lorenz_short"), cfg)
+    assert shapes
+    assert all(s[0] <= cfg.rank + linalg._OVERSAMPLE for s in shapes), shapes
 
 
 def test_pseudo_inverse_moore_penrose(rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from delayframe import diagnostics, models, systems
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DegenerateRankError, ParameterError
-from delayframe.linalg import SvdTriple
+from delayframe.linalg import SvdTriple, pseudo_inverse
 from delayframe.models import FitConfig, fit
 
 
@@ -225,6 +225,36 @@ def test_fit_holds_no_copy_of_the_hankel_matrix(method, overtone):
     assert peak < delays * columns
     if overtone < 1.0:
         assert m.basis.sigma[3] / m.basis.sigma[0] < 1e-6
+
+
+@pytest.mark.parametrize("method, scheme", [
+    ("havok", "forward"), ("havok", "central"), ("shavok", "forward"),
+])
+def test_regress_through_normal_matrix_matches_svd_pseudo_inverse(
+        series_cache, monkeypatch, method, scheme):
+    # The regression solves through the rank x rank normal matrix; on the
+    # fit's own bases that agrees with the SVD pseudo-inverse of the long
+    # rows to 1e-13, norm-wise.
+    inputs = []
+    regress = models._regress
+
+    def recording(*args):
+        inputs.append(args)
+        return regress(*args)
+
+    monkeypatch.setattr(models, "_regress", recording)
+    fit(series_cache("lorenz_short"),
+        FitConfig(delays=41, rank=5, method=method, derivative_scheme=scheme))
+    (v1, v2, dt, state_dim, _), = inputs
+    ext_discrete, ext_continuous = regress(*inputs[0])
+    if scheme == "forward":
+        got, want = ext_discrete, v2 @ pseudo_inverse(v1)
+    else:
+        mid = v1.copy()
+        mid[:state_dim] = 0.5 * (v1[:state_dim] + v2)
+        got = ext_continuous
+        want = ((v2 - v1[:state_dim]) / dt) @ pseudo_inverse(mid)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_constant_signal_rejected():
