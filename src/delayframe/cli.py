@@ -45,19 +45,43 @@ class PipelineConfig:
     observable: str | None
     fit: models.FitConfig
     dt_resample: float | None
-    trim: bool
 
 
 # --------------------------------------------------------------------------
 # CSV input/output
 
 
+# Rows of a CSV table formatted at a time; a block's floats and text are
+# the only objects alive beside the finished blocks.
+_ROWS_PER_BLOCK = 4096
+
+
+def _float_table(head: str, t0: float, dt: float, columns) -> str:
+    """``head``, then one CSV row per sample: its time, then ``columns``.
+
+    Row k starts with ``t0 + k * dt`` and continues with row k of each
+    array in ``columns`` (1-D or 2-D, all of the same length). Each cell
+    is the ``repr`` of a float, so the text reads back to the same bits.
+
+    Rows are formatted in blocks of ``_ROWS_PER_BLOCK``, each by one
+    ``%r`` format of the block's floats, so no per-row list or string is
+    made; the peak is the finished blocks plus their join.
+    """
+    blocks = [head]
+    n = len(columns[0])
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        stop = min(start + _ROWS_PER_BLOCK, n)
+        block = np.column_stack(
+            [t0 + np.arange(start, stop) * dt] + [c[start:stop] for c in columns]
+        )
+        row = ",".join(["%r"] * block.shape[1]) + "\n"
+        blocks.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
+
+
 def format_series_csv(x: TimeSeries) -> str:
-    lines = ["time,value"]
-    t0, dt = x.t0, x.dt
-    for k, v in enumerate(x.values):
-        lines.append(f"{t0 + k * dt!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    """The series as a ``time,value`` CSV that reads back to the same bits."""
+    return _float_table("time,value\n", x.t0, x.dt, [x.values])
 
 
 def load_series_csv(path: str) -> TimeSeries:
@@ -67,13 +91,14 @@ def load_series_csv(path: str) -> TimeSeries:
     jitter. Non-uniform series are data errors with a hint to resample.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which some editors write.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
+    rows = [row for row in map(str.strip, lines) if row and not row.startswith("#")]
     if not rows or [c.strip().lower() for c in rows[0].split(",")] != ["time", "value"]:
         raise DataError(f"{path}: expected a 'time,value' header")
     if len(rows) < 3:
@@ -188,26 +213,17 @@ def _report_payload(model: models.DelayModel, echo: dict) -> dict:
     return payload
 
 
-# Rows of plotdata.csv formatted at a time; a block's row lists and text
-# are the only per-row objects alive beside the finished blocks.
-_ROWS_PER_BLOCK = 4096
-
-
 def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
     """The reduced delay coordinates beside the model's rollout, as CSV.
 
     A ``# config:`` line and a header precede one row per column of the
     delay window: ``time``, ``v1`` … ``v{rank}``, ``forcing`` when the fit
     is forced, and ``recon_v1``, the first state coordinate of the model
-    rolled forward from the first row. Each cell is the ``repr`` of a
-    float, so the text reads back to the same bits.
+    rolled forward from the first row.
 
-    Rows are formatted in blocks of ``_ROWS_PER_BLOCK``, so the table's row
-    lists and row strings never exist whole; the peak is the finished
-    blocks plus their join. The result is still one str, because
-    ``run_pipeline`` returns every artifact as text; writing the blocks
-    straight to the staged file needs the artifact builders to yield
-    chunks instead.
+    The result is one str, because ``run_pipeline`` returns every
+    artifact as text; writing the blocks straight to the staged file
+    needs the artifact builders to yield chunks instead.
     """
     v = model.basis.v
     p = model.state_dim
@@ -219,26 +235,12 @@ def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
     if forced:
         header.append("forcing")
     header.append("recon_v1")
-    blocks = [
+    head = (
         "# config: " + json.dumps(echo, sort_keys=True) + "\n"
         + ",".join(header) + "\n"
-    ]
-    n = v.shape[0]
-    for start in range(0, n, _ROWS_PER_BLOCK):
-        stop = min(start + _ROWS_PER_BLOCK, n)
-        columns = [model.t0 + np.arange(start, stop) * model.dt, v[start:stop]]
-        if forced:
-            columns.append(forcing[start:stop])
-        columns.append(recon[start:stop])
-        lines = [",".join(map(repr, row))
-                 for row in np.column_stack(columns).tolist()]
-        # The empty last line ends the block with a newline. A `+ "\n"`
-        # would copy each block, and with glibc's malloc the freed copies
-        # leave holes in the heap that the write's encoded bytes cannot
-        # reuse: `fit lorenz_long` then peaked at 207 MB instead of 159 MB.
-        lines.append("")
-        blocks.append("\n".join(lines))
-    return "".join(blocks)
+    )
+    columns = [v, forcing, recon] if forced else [v, recon]
+    return _float_table(head, model.t0, model.dt, columns)
 
 
 def _dump_json(payload) -> str:
@@ -252,11 +254,10 @@ def _dump_json(payload) -> str:
 def _prepared_series(cfg: PipelineConfig):
     series, obs = _resolve_input(cfg.input, cfg.observable)
     if cfg.dt_resample is not None:
-        spline = preprocess.spline_fit(series)
-        series = preprocess.resample(spline, cfg.dt_resample)
-        if cfg.trim:
-            # One delay window per end absorbs the natural-boundary error.
-            series = preprocess.trim_series(series, cfg.fit.delays)
+        # One delay window per end absorbs the natural-boundary error.
+        series = preprocess.trim_series(
+            preprocess.resample(series, cfg.dt_resample), cfg.fit.delays
+        )
     return series, obs
 
 
@@ -310,9 +311,8 @@ def _add_fit_arguments(parser):
     parser.add_argument("--derivative", choices=("forward", "central"),
                         default="forward")
     parser.add_argument("--dt-resample", type=float, default=None, metavar="DT",
-                        help="spline-resample the input to this step first")
-    parser.add_argument("--no-trim", dest="trim", action="store_false",
-                        help="keep the spline's edge windows after resampling")
+                        help="spline-resample the input to this step first "
+                        "and trim one delay window from each end")
     parser.add_argument("--out-dir", required=True)
 
 
@@ -396,7 +396,6 @@ def _pipeline_config(args) -> PipelineConfig:
         observable=args.observable,
         fit=fit_cfg,
         dt_resample=args.dt_resample,
-        trim=args.trim,
     )
 
 

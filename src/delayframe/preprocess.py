@@ -1,86 +1,44 @@
 """Cubic-spline interpolation and resampling.
 
 Sparsely sampled series break the small-sampling-period requirement that
-delay models need; fitting a natural cubic spline and resampling at a
-finer step restores it. Natural boundary conditions introduce O(h^2)
-error in the first and last knot intervals, which callers absorb by
-trimming one delay window from each end before fitting (the CLI does this
-by default after resampling).
+delay models need; ``resample`` fits a natural cubic spline and samples it
+at a finer step, which restores it. Natural boundary conditions introduce
+O(h^2) error in the first and last knot intervals, which callers absorb by
+trimming one delay window from each end before fitting: the CLI's
+``--dt-resample`` and the ``interpolation`` scenario both fit
+``trim_series(resample(x, dt), delays)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .embedding import TimeSeries
 from .errors import ParameterError, check_instance, check_int, check_positive
 
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
-
-__all__ = ["SplineModel", "spline_fit", "resample", "trim_series"]
+__all__ = ["resample", "trim_series"]
 
 # The most float64 samples numpy can index in one array.
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
-@dataclass(frozen=True)
-class SplineModel:
-    """Natural cubic spline through uniformly spaced samples.
+def resample(x: TimeSeries, dt_new: float) -> TimeSeries:
+    """Sample the natural cubic spline through ``x`` uniformly at dt_new.
 
-    ``knots`` are the sample times; ``evaluate`` reads the spline and its
-    derivatives between the first and the last of them.
-    """
-
-    knots: np.ndarray = field(repr=False)
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
-
-    def evaluate(self, t, order: int = 0) -> np.ndarray:
-        """Evaluate the spline (or a derivative) inside the knot span."""
-        t = np.asarray(t, dtype=float)
-        check_int("order", order)
-        if not 0 <= order <= 3:
-            raise ParameterError(f"order must be in 0..3, got {order!r}")
-        lo, hi = self.knots[0], self.knots[-1]
-        if np.any(t < lo) or np.any(t > hi):
-            raise ParameterError(
-                f"evaluation outside the knot span [{lo}, {hi}] "
-                "is extrapolation and is not supported"
-            )
-        return self._spline(t, nu=order)
-
-
-def spline_fit(x: TimeSeries) -> SplineModel:
-    """Natural cubic spline through all samples of a uniform series.
-
-    Reproduces the knot values exactly and is C2 at interior knots; the
+    The spline reproduces the samples exactly and is C2 between them; its
     zero-second-derivative end conditions are the least-assumptive choice
-    when nothing is known beyond the samples.
+    when nothing is known beyond the samples. The grid starts at the first
+    sample and never extends past the last one (no extrapolation); a
+    dt_new wider than the span leaves fewer than two samples and is
+    rejected, and so is one whose grid cannot be allocated.
     """
     check_instance(x, TimeSeries)
     if len(x) < 4:
-        raise ParameterError(f"spline_fit needs at least 4 samples, got {len(x)}")
-    from scipy.interpolate import CubicSpline
-
-    knots = x.times
-    cs = CubicSpline(knots, x.values, bc_type="natural")
-    return SplineModel(knots=knots, _spline=cs)
-
-
-def resample(model: SplineModel, dt_new: float) -> TimeSeries:
-    """Sample a spline uniformly at dt_new over its knot span.
-
-    The grid starts at the first knot and never extends past the last one
-    (no extrapolation); a dt_new wider than the span leaves fewer than two
-    samples and is rejected, and so is one whose grid cannot be allocated.
-    """
-    check_instance(model, SplineModel)
+        raise ParameterError(f"resample needs at least 4 samples, got {len(x)}")
     check_positive("dt_new", dt_new)
-    start = float(model.knots[0])
-    span = float(model.knots[-1]) - start
+    knots = x.times
+    start = float(knots[0])
+    span = float(knots[-1]) - start
     steps = np.floor(span / dt_new * (1.0 + 1e-12))
     if steps < 1.0:
         raise ParameterError(
@@ -96,11 +54,14 @@ def resample(model: SplineModel, dt_new: float) -> TimeSeries:
     )
     if not indexable:
         raise ParameterError(too_large)
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(knots, x.values, bc_type="natural")
     try:
         t = start + dt_new * np.arange(count)
         # Roundoff can push the last point a hair past the final knot.
-        t[-1] = min(t[-1], model.knots[-1])
-        values = model.evaluate(t)
+        t[-1] = min(t[-1], knots[-1])
+        values = spline(t)
     except MemoryError as exc:
         raise ParameterError(too_large) from exc
     return TimeSeries(t0=start, dt=float(dt_new), values=values)

@@ -63,13 +63,14 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
     cfg = models.FitConfig(delays=delays, rank=rank, method=method, forcing=forcing)
     dt_rows = []
     for stride in (20, 10, 2, 1):
-        sub = TimeSeries(
-            t0=series.t0, dt=series.dt * stride, values=series.values[::stride]
-        )
-        if len(sub) < delays + rank + 1:
+        # Checked before the TimeSeries is built, which rejects < 2 samples
+        # with a message that names no stride.
+        values = series.values[::stride]
+        if len(values) < delays + rank + 1:
             raise ParameterError(
-                f"input too short for stride {stride}: {len(sub)} samples"
+                f"input too short for stride {stride}: {len(values)} samples"
             )
+        sub = TimeSeries(t0=series.t0, dt=series.dt * stride, values=values)
         dt_rows.append({"stride": stride, **_structure_row(sub, cfg)})
     col_rows = []
     sub = TimeSeries(t0=series.t0, dt=series.dt * 2, values=series.values[::2])
@@ -105,11 +106,16 @@ def _curvature():
         cfg = models.FitConfig(delays=41, rank=4, method=method, forcing=False)
         model = models.fit(series, cfg)
         est = curvatures_from_model(model.a_continuous, model.speed)
+        rep = diagnostics.structure_report(est.k_matrix)
         rows[method] = {
             "curvatures": list(est.curvatures),
             "delta_vs_analytic": [
                 float(abs(a - b)) for a, b in zip(est.curvatures, analytic)
             ],
+            "subdiagonal": list(rep.subdiagonal),
+            "offband_max": rep.offband_max,
+            "antisymmetry": rep.antisymmetry,
+            "tridiagonality": rep.tridiagonality,
         }
     rows["reference"] = list(CURVATURE_REFERENCE)
     rows["analytic_within_5e-5"] = bool(
@@ -121,8 +127,17 @@ def _curvature():
     lines = [
         f"analytic curvatures: {analytic[0]:.5e} {analytic[1]:.5e} {analytic[2]:.5e}",
         f"analytic within 5e-5 of reference: {rows['analytic_within_5e-5']}",
-        f"shavok superdiagonal within 5e-4 of analytic: {rows['shavok_within_5e-4']}",
     ]
+    lines.extend(
+        f"{method}: antisymmetry {rows[method]['antisymmetry']:.3e}, "
+        f"tridiagonality {rows[method]['tridiagonality']:.3e}, "
+        f"superdiagonal vs analytic max delta "
+        f"{max(rows[method]['delta_vs_analytic']):.2e}"
+        for method in ("havok", "shavok")
+    )
+    lines.append(
+        f"shavok superdiagonal within 5e-4 of analytic: {rows['shavok_within_5e-4']}"
+    )
     return rows, lines
 
 
@@ -148,8 +163,7 @@ def _interpolation():
     delays, rank = 201, 5
     cfg = models.FitConfig(delays=delays, rank=rank, method="havok", forcing=True)
     raw_model = models.fit(coarse, cfg)
-    resampled = preprocess.resample(preprocess.spline_fit(coarse), 0.001)
-    resampled = preprocess.trim_series(resampled, delays)
+    resampled = preprocess.trim_series(preprocess.resample(coarse, 0.001), delays)
     new_model = models.fit(resampled, cfg)
     raw_score = diagnostics.antisymmetry_score(raw_model.a_continuous)
     new_score = diagnostics.antisymmetry_score(new_model.a_continuous)

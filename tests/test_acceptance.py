@@ -22,10 +22,7 @@ from delayframe.cli import main
 from delayframe.embedding import TimeSeries, build_hankel, center_hankel
 from delayframe.geometry import (
     FrenetApparatus,
-    analytic_curvatures_gram,
     curvature_matrix_from_frame,
-    curvatures_from_model,
-    derivative_stack,
     discrete_orthopoly,
 )
 from delayframe.linalg import thin_svd
@@ -63,34 +60,31 @@ def verdict(number, name):
     print(f"ACCEPTANCE {number} {name}: PASS")
 
 
-def _analytic_kappas(two_tone):
-    emb = center_hankel(build_hankel(two_tone, 41))
-    d1, d2, d3, d4 = derivative_stack(emb.center_row, two_tone.dt, 4)
-    return analytic_curvatures_gram(d1, d2, d3, d4)
+@pytest.fixture(scope="module")
+def curvature_run():
+    """The curvature scenario's payload and the seconds it took."""
+    start = time.perf_counter()
+    payload, _ = SCENARIOS["curvature"]()
+    return payload, time.perf_counter() - start
 
 
-def test_criterion_01_curvature_recovery(two_tone):
+def test_criterion_01_curvature_recovery(curvature_run):
     with verdict(1, "two-tone curvature recovery"):
-        start = time.perf_counter()
-        kappas = _analytic_kappas(two_tone)
-        elapsed = time.perf_counter() - start
-        for got, ref in zip(kappas, CURVATURE_REFERENCE):
+        payload, elapsed = curvature_run
+        for got, ref in zip(payload["analytic"], CURVATURE_REFERENCE):
             assert abs(got - ref) <= 5e-5
         assert elapsed < 5.0
 
 
-def test_criterion_02_shavok_curvature_match(two_tone, two_tone_models):
+def test_criterion_02_shavok_curvature_match(curvature_run):
     with verdict(2, "sHAVOK curvature match"):
-        kappas = _analytic_kappas(two_tone)
-        m = two_tone_models["shavok"]
-        k = curvatures_from_model(m.a_continuous, m.speed).k_matrix
-        super_diag = np.diag(k, 1)
-        sub_diag = np.diag(k, -1)
-        for got, ref in zip(super_diag, kappas):
+        payload, _ = curvature_run
+        shavok = payload["shavok"]
+        super_diag = np.array(shavok["curvatures"])
+        for got, ref in zip(super_diag, payload["analytic"]):
             assert abs(got - ref) <= 5e-4
-        np.testing.assert_allclose(sub_diag, -super_diag, atol=2e-5)
-        band = np.abs(np.subtract.outer(range(4), range(4))) <= 1
-        assert np.max(np.abs(k[~band])) <= 5e-5
+        np.testing.assert_allclose(shavok["subdiagonal"], -super_diag, atol=2e-5)
+        assert shavok["offband_max"] <= 5e-5
 
 
 def test_criterion_03_structure_scores(two_tone_models):

@@ -35,6 +35,30 @@ def test_csv_requires_header(tmp_path):
         load_series_csv(path)
 
 
+def test_csv_with_byte_order_mark_fits_as_without(tmp_path):
+    t = 0.01 * np.arange(300)
+    text = format_series_csv(TimeSeries(t0=0.0, dt=0.01, values=np.sin(t)))
+    plain = _write(tmp_path / "plain.csv", text)
+    marked = _write(tmp_path / "bom.csv", "\ufeff" + text)
+    assert (tmp_path / "bom.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+    outs = []
+    for name, path in (("plain", plain), ("bom", marked)):
+        out = tmp_path / name
+        assert main(["fit", "--input", path, "--delays", "11", "--rank", "3",
+                     "--out-dir", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        del model["config"]["input"]
+        outs.append(model)
+    assert outs[0] == outs[1]
+
+
+def test_csv_indented_comment_is_skipped(tmp_path):
+    path = _write(tmp_path / "x.csv",
+                  "time,value\n0.0,1.0\n  # note\n0.1,2.0\n\t#tab\n0.2,3.0\n")
+    y = load_series_csv(path)
+    np.testing.assert_array_equal(y.values, [1.0, 2.0, 3.0])
+
+
 def test_csv_rejects_bad_rows(tmp_path):
     path = _write(tmp_path / "x.csv", "time,value\n0.0,1.0\n0.1,abc\n")
     with pytest.raises(DataError, match="row 3"):
@@ -528,19 +552,17 @@ def test_dt_resample_flow(tmp_path):
     x = TimeSeries(t0=0.0, dt=0.1,
                    values=np.sin(np.arange(0.0, 50.0, 0.1)))
     path = _write(tmp_path / "coarse.csv", format_series_csv(x))
-    base = ["fit", "--input", path, "--delays", "41", "--rank", "3",
-            "--no-forcing", "--dt-resample", "0.01"]
-    out_trim = tmp_path / "trim"
-    out_full = tmp_path / "full"
-    assert main(base + ["--out-dir", str(out_trim)]) == 0
-    assert main(base + ["--no-trim", "--out-dir", str(out_full)]) == 0
-    trimmed = json.loads((out_trim / "model.json").read_text())
-    full = json.loads((out_full / "model.json").read_text())
-    assert trimmed["config"]["dt"] == 0.01
-    assert trimmed["config"]["trim"] is True
-    assert full["config"]["trim"] is False
-    # trimming drops one delay window per end before fitting
-    assert trimmed["t0"] == pytest.approx(full["t0"] + 41 * 0.01)
+    out = tmp_path / "o"
+    assert main(["fit", "--input", path, "--delays", "41", "--rank", "3",
+                 "--no-forcing", "--dt-resample", "0.01",
+                 "--out-dir", str(out)]) == 0
+    model = json.loads((out / "model.json").read_text())
+    assert model["config"]["dt"] == 0.01
+    assert "trim" not in model["config"]
+    # The resampled series starts at t = 0 and loses one delay window
+    # (41 samples) per end; the model's t0 is its first window's center,
+    # 20 samples further on.
+    assert model["t0"] == pytest.approx((41 + 20) * 0.01)
 
 
 def test_sweep_input_too_short(tmp_path, capsys):
@@ -550,6 +572,14 @@ def test_sweep_input_too_short(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert not (tmp_path / "o").exists()
+    # Three rows leave one sample at stride 20, which the sweep's own
+    # length check reports before any series is built.
+    capsys.readouterr()
+    tiny = _write(tmp_path / "tiny.csv", "time,value\n0.0,1.0\n0.1,2.0\n0.2,3.0\n")
+    code = main(["sweep", "--input", tiny, "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: input too short for stride 20: 1 samples\n")
 
 
 def test_reproduce_curvature(tmp_path, capsys):
@@ -557,7 +587,10 @@ def test_reproduce_curvature(tmp_path, capsys):
     code = main(["reproduce", "--scenario", "curvature",
                  "--out-dir", str(out)])
     assert code == 0
-    assert "analytic curvatures" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "analytic curvatures" in printed
+    for method in ("havok", "shavok"):
+        assert f"{method}: antisymmetry " in printed
     payload = json.loads((out / "curvature.json").read_text())
     assert payload["analytic_within_5e-5"] is True
     assert payload["shavok_within_5e-4"] is True

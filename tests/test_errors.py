@@ -52,7 +52,6 @@ def test_degenerate_input_partial_defaults_to_none():
 
 _SERIES = embedding.TimeSeries(t0=0.0, dt=0.1, values=np.sin(0.3 * np.arange(40)))
 _MODEL = models.fit(_SERIES, models.FitConfig(delays=5, rank=3))
-_SPLINE = preprocess.spline_fit(_SERIES)
 _FRAMES = [geometry.frenet_frame([[1.0, 0.0], [0.0, 1.0]])] * 2
 
 
@@ -87,10 +86,6 @@ RULES = [
                  "rank must be an integer, got True", id="int-FitConfig-rank"),
     pytest.param(lambda: models.reconstruct(_MODEL, np.zeros(2), 2.5), ParameterError,
                  "steps must be an integer, got 2.5", id="int-reconstruct"),
-    pytest.param(lambda: _SPLINE.evaluate(0.5, order=True), ParameterError,
-                 "order must be an integer, got True", id="int-evaluate-bool"),
-    pytest.param(lambda: _SPLINE.evaluate(0.5, order=1.5), ParameterError,
-                 "order must be an integer, got 1.5", id="int-evaluate-float"),
     pytest.param(lambda: preprocess.trim_series(_SERIES, 1.0), ParameterError,
                  "count must be an integer, got 1.0", id="int-trim_series"),
     pytest.param(lambda: _spec(samples=10.0), ParameterError,
@@ -122,8 +117,6 @@ RULES = [
     pytest.param(lambda: linalg.thin_svd(np.eye(3), 2, center=3), ParameterError,
                  "center must be in [0, 2] for shape (3, 3), got 3",
                  id="range-thin_svd-center"),
-    pytest.param(lambda: _SPLINE.evaluate(0.5, order=4), ParameterError,
-                 "order must be in 0..3, got 4", id="range-evaluate"),
     # type
     pytest.param(lambda: embedding.build_hankel([1.0, 2.0], 2), ParameterError,
                  "expected a TimeSeries, got list", id="type-build_hankel"),
@@ -141,10 +134,8 @@ RULES = [
                  "expected a DelayModel, got NoneType", id="type-reconstruct"),
     pytest.param(lambda: models.forcing_signal(None), ParameterError,
                  "expected a DelayModel, got NoneType", id="type-forcing_signal"),
-    pytest.param(lambda: preprocess.spline_fit(None), ParameterError,
-                 "expected a TimeSeries, got NoneType", id="type-spline_fit"),
-    pytest.param(lambda: preprocess.resample(_SERIES, 0.05), ParameterError,
-                 "expected a SplineModel, got TimeSeries", id="type-resample"),
+    pytest.param(lambda: preprocess.resample(None, 0.05), ParameterError,
+                 "expected a TimeSeries, got NoneType", id="type-resample"),
     pytest.param(lambda: preprocess.trim_series(None, 1), ParameterError,
                  "expected a TimeSeries, got NoneType", id="type-trim_series"),
     pytest.param(lambda: systems.simulate("lorenz"), ParameterError,
@@ -179,7 +170,7 @@ RULES = [
         ParameterError, "eps must be positive and finite, got nan",
         id="pos-sv_decay_report",
     ),
-    pytest.param(lambda: preprocess.resample(_SPLINE, -0.1), ParameterError,
+    pytest.param(lambda: preprocess.resample(_SERIES, -0.1), ParameterError,
                  "dt_new must be positive and finite, got -0.1", id="pos-resample"),
     pytest.param(lambda: _spec(dt=math.inf), ParameterError,
                  "dt must be positive and finite, got inf", id="pos-SystemSpec"),

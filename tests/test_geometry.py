@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from delayframe.embedding import build_hankel, center_hankel
 from delayframe.errors import DegenerateInputError, ParameterError
 from delayframe.geometry import (
     FrenetApparatus,
@@ -19,7 +18,6 @@ from delayframe.geometry import (
     monomial_orthobasis,
 )
 from delayframe.linalg import gram_schmidt
-from delayframe.scenarios import CURVATURE_REFERENCE
 
 
 def test_central_difference_exact_on_linear():
@@ -127,14 +125,6 @@ def test_curvature_matrix_needs_two_frames():
     app = frenet_frame([np.arange(1.0, 6.0)])
     with pytest.raises(ParameterError):
         curvature_matrix_from_frame([app], 0.1)
-
-
-def test_gram_curvatures_match_reference(two_tone):
-    emb = center_hankel(build_hankel(two_tone, 41))
-    d1, d2, d3, d4 = derivative_stack(emb.center_row, two_tone.dt, 4)
-    kappas = analytic_curvatures_gram(d1, d2, d3, d4)
-    for got, ref in zip(kappas, CURVATURE_REFERENCE):
-        assert abs(got - ref) <= 5e-5
 
 
 def test_gram_curvatures_planar_circle_degenerate():

@@ -28,7 +28,7 @@ def test_every_export_resolves(module):
     assert missing == [], f"{mod.__name__}.__all__ names undefined {missing}"
 
 
-@pytest.mark.parametrize("demo", ["two_tone_structure.py", "lorenz_forcing.py"])
+@pytest.mark.parametrize("demo", ["lorenz_forcing.py"])
 def test_demo_runs(demo):
     # A fresh interpreter with warnings as errors, importing the same
     # package as this suite.

@@ -3,68 +3,50 @@ import pytest
 
 from delayframe.embedding import TimeSeries
 from delayframe.errors import ParameterError
-from delayframe.preprocess import resample, spline_fit, trim_series
+from delayframe.preprocess import resample, trim_series
 
 
 def _series(values, dt=0.1, t0=0.0):
     return TimeSeries(t0=t0, dt=dt, values=np.asarray(values, dtype=float))
 
 
-def test_spline_fit_needs_four_samples():
-    with pytest.raises(ParameterError):
-        spline_fit(_series([1.0, 2.0, 3.0]))
+def test_resample_needs_four_samples():
+    with pytest.raises(ParameterError, match="at least 4 samples"):
+        resample(_series([1.0, 2.0, 3.0]), 0.05)
 
 
 def test_spline_interpolates_knots():
+    # Every fourth sample of a quarter-step grid lands on a knot.
     x = _series(np.sin(np.linspace(0.0, 3.0, 31)))
-    model = spline_fit(x)
-    np.testing.assert_allclose(model.evaluate(x.times), x.values, atol=1e-12)
+    y = resample(x, 0.025)
+    np.testing.assert_allclose(y.values[::4], x.values, atol=1e-12)
 
 
 def test_spline_reproduces_linear_exactly():
     # A line has zero second derivative everywhere, so the natural
     # boundary condition is exact for it.
     x = _series(2.5 * np.arange(20.0) - 3.0, dt=0.5)
-    model = spline_fit(x)
-    t = np.linspace(0.0, 9.5, 777)
-    np.testing.assert_allclose(model.evaluate(t), 5.0 * t - 3.0, atol=1e-10)
-    np.testing.assert_allclose(model.evaluate(t, order=1), 5.0, atol=1e-10)
-    np.testing.assert_allclose(model.evaluate(t, order=2), 0.0, atol=1e-10)
-
-
-def test_spline_evaluate_validation():
-    model = spline_fit(_series(np.arange(10.0)))
-    with pytest.raises(ParameterError):
-        model.evaluate(np.array([-0.01]))
-    with pytest.raises(ParameterError):
-        model.evaluate(np.array([0.91]))
-    with pytest.raises(ParameterError):
-        model.evaluate(np.array([0.5]), order=4)
-
-
-def test_spline_derivative_accuracy():
-    t = np.linspace(0.0, 10.0, 101)
-    model = spline_fit(_series(np.sin(t), dt=0.1))
-    fine = np.linspace(0.5, 9.5, 901)
-    np.testing.assert_allclose(model.evaluate(fine, 1), np.cos(fine), atol=5e-4)
+    y = resample(x, 0.0125)
+    assert len(y) == 761
+    np.testing.assert_allclose(y.values, 5.0 * y.times - 3.0, atol=1e-10)
 
 
 def test_resample_grid():
     x = _series(np.arange(11.0), dt=0.1, t0=2.0)
-    y = resample(spline_fit(x), 0.025)
+    y = resample(x, 0.025)
     assert y.dt == 0.025
     assert y.t0 == 2.0
     assert len(y) == 41
     assert y.times[-1] == pytest.approx(3.0)
     # resampling at the original step returns the knot values
-    z = resample(spline_fit(x), 0.1)
+    z = resample(x, 0.1)
     np.testing.assert_allclose(z.values, x.values, atol=1e-12)
 
 
 def test_resample_step_too_large():
     x = _series(np.arange(5.0), dt=0.1)
     with pytest.raises(ParameterError):
-        resample(spline_fit(x), 10.0)
+        resample(x, 10.0)
 
 
 def test_resample_accuracy_interior():
@@ -73,7 +55,7 @@ def test_resample_accuracy_interior():
     last knot spans, which is why fits trim a delay window per end."""
     t = np.arange(0.0, 10.0001, 0.1)
     x = _series(np.sin(t), dt=0.1)
-    y = resample(spline_fit(x), 0.001)
+    y = resample(x, 0.001)
     err = np.abs(y.values - np.sin(y.times))
     inner = (y.times >= 0.1) & (y.times <= 9.9)
     assert np.max(err[inner]) <= 1e-4
