@@ -8,7 +8,10 @@ Conventions used throughout:
 * the curvature matrix K = (1/speed) (dQ/dt) Q^T is skew-symmetric with the
   curvatures on its first off-diagonals;
 * derivative estimates from sampled data use second-order central
-  differences, which trim one sample per end per differentiation.
+  differences, which trim one sample per end per differentiation;
+* each Gram-determinant ratio is read off one QR factorization of the
+  derivative stack, and the orthonormal polynomials come from one
+  Arnoldi recurrence on the grid, for every degree the grid allows.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "analytic_curvatures_gram",
     "curvatures_from_singular_values",
     "discrete_orthopoly",
-    "monomial_orthobasis",
     "curvatures_from_model",
 ]
 
@@ -195,6 +197,7 @@ def curvature_matrix_from_frame(frames, dt: float) -> CurvatureMatrixEstimate:
             raise ParameterError(
                 f"frame {i} must be a FrenetApparatus, got {type(f).__name__}"
             )
+        check_positive("speed", f.speed)
         mats.append(np.vstack(f.frame))
     shape = mats[0].shape
     for i, q in enumerate(mats):
@@ -214,27 +217,6 @@ def curvature_matrix_from_frame(frames, dt: float) -> CurvatureMatrixEstimate:
     )
 
 
-def _gram_determinants(columns):
-    """Cholesky determinants of the nested Gram matrices G_1..G_q.
-
-    Returns (dets, defined) where defined is the largest i such that G_i is
-    numerically positive definite: Cholesky succeeds and no squared pivot
-    falls below _PIVOT_TOL times the largest diagonal of G_i.
-    """
-    dets = []
-    for i in range(1, columns.shape[1] + 1):
-        g = columns[:, :i].T @ columns[:, :i]
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            return dets, i - 1
-        pivots = np.diag(chol) ** 2
-        if np.min(pivots) < _PIVOT_TOL * np.max(np.diag(g)):
-            return dets, i - 1
-        dets.append(float(np.prod(np.diag(chol)) ** 2))
-    return dets, columns.shape[1]
-
-
 def analytic_curvatures_gram(d1, d2, d3, d4):
     """First three curvatures from derivative data via Gram determinant ratios.
 
@@ -248,14 +230,19 @@ def analytic_curvatures_gram(d1, d2, d3, d4):
     (kappa_1, kappa_2, kappa_3) : floats
         kappa_i = sqrt(det G_{i+1} det G_{i-1}) / (det G_i ||d1||), where
         G_i is the Gram matrix of the first i derivatives and det G_0 = 1.
+        With R from one QR factorization of [d1 d2 d3 d4], det G_i is the
+        product of R_jj^2 over j <= i, so kappa_i = |R_{i+1,i+1}| /
+        (|R_ii| |R_11|).
 
     Raises
     ------
     DegenerateInputError
-        If some G_i is numerically singular (Cholesky pivot collapse), the
-        error names the first undefined curvature and carries the earlier,
-        well-defined ones on its ``partial`` attribute. A planar curve,
-        for example, has kappa_2 undefined because G_3 is singular.
+        If some G_i is numerically singular (its smallest squared pivot
+        min_{j<=i} R_jj^2 is at most 1e-12 times its largest diagonal
+        entry), the error names the first undefined curvature and carries
+        the earlier, well-defined ones on its ``partial`` attribute. A
+        planar curve, for example, has kappa_2 undefined because G_3 is
+        singular.
     """
     vecs = []
     for name, d in (("d1", d1), ("d2", d2), ("d3", d3), ("d4", d4)):
@@ -272,23 +259,24 @@ def analytic_curvatures_gram(d1, d2, d3, d4):
                 f"{name} has length {v.shape[0]}, expected {length}"
             )
     columns = np.column_stack(vecs)
-    dets, defined = _gram_determinants(columns)
+    r = np.abs(np.diag(np.linalg.qr(columns, mode="r")))
+    # The smallest squared pivot of G_i only falls and its largest
+    # diagonal entry only grows with i, so the defined G_i are a prefix.
+    smallest = np.minimum.accumulate(r**2)
+    largest = np.maximum.accumulate(np.sum(columns**2, axis=0))
+    defined = int(np.count_nonzero(smallest > _PIVOT_TOL * largest))
     if defined == 0:
         raise DegenerateInputError("first derivative is zero; kappa_1 is undefined")
-    speed = math.sqrt(dets[0])
-    padded = [1.0] + dets
-    kappas = []
-    for i in range(1, min(defined, 4)):
-        kappas.append(
-            math.sqrt(padded[i + 1] * padded[i - 1]) / (padded[i] * speed)
-        )
+    kappas = tuple(
+        float(r[i] / (r[i - 1] * r[0])) for i in range(1, min(defined, 4))
+    )
     if defined < 4:
         raise DegenerateInputError(
             f"kappa_{defined} is undefined: the Gram matrix of the first "
             f"{defined + 1} derivatives is numerically singular",
-            partial=tuple(kappas),
+            partial=kappas,
         )
-    return tuple(kappas)
+    return kappas
 
 
 def curvatures_from_singular_values(sigma):
@@ -315,53 +303,19 @@ def curvatures_from_singular_values(sigma):
     return out
 
 
-def _closed_form_columns(p: int, degree: int, grid: np.ndarray):
-    """The five closed-form orthonormal polynomial columns on {-p..p}."""
-    n = grid
-    cols = []
-    if degree >= 1:
-        c1 = math.sqrt(p * (2 * p + 1) * (p + 1) / 3.0)
-        cols.append(n / c1)
-    if degree >= 2:
-        c2 = math.sqrt(p * (2 * p + 1) * (p + 1) * (3 * p**2 + 3 * p - 1) / 15.0)
-        cols.append(n**2 / c2)
-    if degree >= 3:
-        c3 = math.sqrt(
-            p * (2 * p - 1) * (2 * p + 1) * (2 * p + 3)
-            * (p - 1) * (p + 1) * (p + 2) / 175.0
-        )
-        cols.append((n**3 - n * (3 * p**2 + 3 * p - 1) / 5.0) / c3)
-    if degree >= 4:
-        c4 = math.sqrt(
-            p * (2 * p - 1) * (2 * p + 1) * (2 * p + 3)
-            * (p - 1) * (p + 1) * (p + 2)
-            * (15 * p**4 + 30 * p**3 - 35 * p**2 - 50 * p + 12)
-            / (2205.0 * (3 * p**2 + 3 * p - 1))
-        )
-        cols.append(
-            (n**4 - 5.0 * n**2 * (3 * p**4 + 6 * p**3 - 3 * p + 1)
-             / (7.0 * (3 * p**2 + 3 * p - 1))) / c4
-        )
-    if degree >= 5:
-        c5 = math.sqrt(
-            4 * p * (2 * p - 1) * (2 * p + 1) * (2 * p - 3) * (2 * p + 3)
-            * (2 * p + 5) * (p - 1) * (p + 1) * (p - 2) * (p + 2) * (p + 3)
-            / 43659.0
-        )
-        cols.append(
-            (5.0 * (n * (3 * p**2 + 3 * p - 1) / 5.0 - n**3)
-             * (2 * p**2 + 2 * p - 3) / 9.0
-             - n * (3 * p**4 + 6 * p**3 - 3 * p + 1) / 7.0
-             + n**5) / c5
-        )
-    return cols
+def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
+    """Discrete orthonormal polynomials p1..p_degree.
 
-
-def _centered_grid(delays, degree, max_degree=None):
-    """Validate (delays, degree) and return (p, the grid {-p..p}).
-
-    ``max_degree`` bounds the degree for the closed forms; it is checked
-    before the half-width, so a too-high degree reports that first.
+    Evaluated on the centered integer grid n in {-p..p} with p =
+    (delays - 1) / 2, for any degree up to p. These are the polynomials
+    the delay-axis singular vectors of a centered Hankel matrix converge
+    to: p_k is the orthonormalization of n, n^2, ..., n^k, with a positive
+    leading coefficient. They come from the Arnoldi recurrence
+    (Brubeck, Nakatsukasa and Trefethen, SIAM Review 63(2), 2021): p1 =
+    n / ||n||, and p_{k+1} is n * p_k projected off p1..p_k twice, then
+    normalized. The second projection keeps them orthonormal to rounding
+    at high degree, where the monomials themselves are far too ill
+    conditioned to orthonormalize.
     """
     check_int("delays", delays)
     check_int("degree", degree)
@@ -369,52 +323,20 @@ def _centered_grid(delays, degree, max_degree=None):
         raise ParameterError(f"delays must be odd and >= 3, got {delays}")
     if degree < 1:
         raise ParameterError(f"degree must be >= 1, got {degree}")
-    if max_degree is not None and degree > max_degree:
-        raise ParameterError(
-            f"only degrees 1..{max_degree} have closed forms, got {degree}; "
-            "use monomial_orthobasis for higher degrees"
-        )
     p = (delays - 1) // 2
     if p < degree:
         raise ParameterError(
             f"half-width (delays-1)/2 = {p} must be >= degree {degree}"
         )
-    return p, np.arange(-p, p + 1, dtype=float)
-
-
-def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
-    """Closed-form discrete orthonormal polynomials p1..p_degree.
-
-    Evaluated on the centered integer grid n in {-p..p} with p =
-    (delays - 1) / 2. These are the polynomials the delay-axis singular
-    vectors of a centered Hankel matrix converge to. Only five closed
-    forms exist; for higher degrees use monomial_orthobasis, which builds
-    the same family by Gram-Schmidt (numerically, not symbolically,
-    orthogonal).
-    """
-    p, grid = _centered_grid(delays, degree, max_degree=5)
-    cols = _closed_form_columns(p, degree, grid)
-    return PolynomialBasis(vectors=np.column_stack(cols))
-
-
-def monomial_orthobasis(delays: int, degree: int) -> PolynomialBasis:
-    """Gram-Schmidt orthonormalization of {n, n^2, ..., n^degree}.
-
-    Serves arbitrary degrees; agrees with discrete_orthopoly where both
-    are defined. Orthogonality holds numerically rather than by closed
-    form.
-    """
-    _, grid = _centered_grid(delays, degree)
-    monomials = [grid**k for k in range(1, degree + 1)]
-    basis, dropped = gram_schmidt(monomials)
-    if dropped:
-        raise DegenerateInputError(
-            f"monomial powers {dropped} are dependent on this grid"
-        )
-    # Sign convention: leading (highest-n) entry positive, matching the
-    # closed forms, whose leading coefficient is positive.
-    cols = [q if q[-1] >= 0.0 else -q for q in basis]
-    return PolynomialBasis(vectors=np.column_stack(cols))
+    grid = np.arange(-p, p + 1, dtype=float)
+    q = np.empty((delays, degree))
+    q[:, 0] = grid / np.linalg.norm(grid)
+    for k in range(1, degree):
+        v = grid * q[:, k - 1]
+        for _ in range(2):
+            v -= q[:, :k] @ (q[:, :k].T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+    return PolynomialBasis(vectors=q)
 
 
 def curvatures_from_model(a_continuous, speed: float) -> ModelCurvatures:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from delayframe import diagnostics
 from delayframe.cli import main
-from delayframe.embedding import TimeSeries, build_hankel, center_hankel
+from delayframe.embedding import TimeSeries, build_hankel, center_index
 from delayframe.geometry import (
     FrenetApparatus,
     curvature_matrix_from_frame,
@@ -115,8 +115,8 @@ def test_criterion_04_polynomial_basis(two_tone):
     with verdict(4, "polynomial basis"):
         p = discrete_orthopoly(41, 4).vectors
         np.testing.assert_allclose(p.T @ p, np.eye(4), atol=1e-10)
-        centered = center_hankel(build_hankel(two_tone, 41))
-        u = thin_svd(centered.matrix, 4).u
+        window = build_hankel(two_tone, 41).matrix
+        u = thin_svd(window, 4, center=center_index(41)).u
         cosines = np.abs(np.sum(p * u, axis=0))
         assert np.min(cosines) >= 0.999
         # without centering the leading singular vector is near-constant

@@ -53,6 +53,7 @@ def test_degenerate_input_partial_defaults_to_none():
 _SERIES = embedding.TimeSeries(t0=0.0, dt=0.1, values=np.sin(0.3 * np.arange(40)))
 _MODEL = models.fit(_SERIES, models.FitConfig(delays=5, rank=3))
 _FRAMES = [geometry.frenet_frame([[1.0, 0.0], [0.0, 1.0]])] * 2
+_STILL_FRAMES = [geometry.FrenetApparatus(frame=((1.0, 0.0),), speed=0.0)] * 2
 
 
 def _spec(**changes):
@@ -72,8 +73,8 @@ RULES = [
     ),
     pytest.param(lambda: geometry.discrete_orthopoly(5.0, 1), ParameterError,
                  "delays must be an integer, got 5.0", id="int-discrete_orthopoly"),
-    pytest.param(lambda: geometry.monomial_orthobasis(5, True), ParameterError,
-                 "degree must be an integer, got True", id="int-monomial_orthobasis"),
+    pytest.param(lambda: geometry.discrete_orthopoly(5, True), ParameterError,
+                 "degree must be an integer, got True", id="int-discrete_orthopoly-degree"),
     pytest.param(lambda: linalg.thin_svd(np.eye(3), 2.0), ParameterError,
                  "rank must be an integer, got 2.0", id="int-thin_svd"),
     pytest.param(lambda: linalg.thin_svd(np.eye(3), 2, center=1.0), ParameterError,
@@ -159,6 +160,11 @@ RULES = [
         lambda: geometry.curvature_matrix_from_frame(_FRAMES, math.inf),
         ParameterError, "dt must be positive and finite, got inf",
         id="pos-curvature_matrix_from_frame",
+    ),
+    pytest.param(
+        lambda: geometry.curvature_matrix_from_frame(_STILL_FRAMES, 0.1),
+        ParameterError, "speed must be positive and finite, got 0.0",
+        id="pos-curvature_matrix_from_frame-speed",
     ),
     pytest.param(
         lambda: geometry.curvatures_from_model(np.eye(2), -1.0),

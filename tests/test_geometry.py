@@ -15,7 +15,6 @@ from delayframe.geometry import (
     derivative_stack,
     discrete_orthopoly,
     frenet_frame,
-    monomial_orthobasis,
 )
 from delayframe.linalg import gram_schmidt
 
@@ -194,21 +193,35 @@ def test_orthopoly_degrees_and_grid():
 def test_orthopoly_validation():
     with pytest.raises(ParameterError):
         discrete_orthopoly(10, 3)  # even
-    with pytest.raises(ParameterError, match="monomial_orthobasis"):
-        discrete_orthopoly(41, 6)
+    with pytest.raises(ParameterError, match="half-width"):
+        discrete_orthopoly(41, 21)
     with pytest.raises(ParameterError):
         discrete_orthopoly(5, 4)  # half-width 2 < degree
 
 
-def test_monomial_basis_agrees_with_closed_forms():
-    a = discrete_orthopoly(41, 5).vectors
-    b = monomial_orthobasis(41, 5).vectors
-    np.testing.assert_allclose(a, b, atol=1e-12)
+@pytest.mark.parametrize("delays", [11, 41, 201])
+def test_orthopoly_matches_qr_oracle(delays):
+    # Householder QR of the scaled monomials n/p, ..., (n/p)^5 with R's
+    # diagonal made positive: the same span and the same sign convention.
+    p = (delays - 1) // 2
+    n = np.arange(-p, p + 1) / p
+    q, r = np.linalg.qr(np.column_stack([n**k for k in range(1, 6)]))
+    oracle = q * np.sign(np.diag(r))
+    np.testing.assert_allclose(
+        discrete_orthopoly(delays, 5).vectors, oracle, rtol=0.0, atol=1e-12
+    )
 
 
-def test_monomial_basis_high_degree():
-    p = monomial_orthobasis(41, 8).vectors
-    np.testing.assert_allclose(p.T @ p, np.eye(8), atol=1e-10)
+@pytest.mark.parametrize("delays, degree", [
+    (41, 8), (101, 50), (201, 30), (401, 60), (401, 200),
+])
+def test_orthopoly_high_degree_orthonormal(delays, degree):
+    # Gram-Schmidt of the raw monomials loses orthogonality at (201, 30)
+    # and finds them dependent at (401, 60). The recurrence stays within
+    # 1e-15; with one projection instead of two it drifts to 2e-14 at
+    # (401, 60) and 9e-14 at (401, 200).
+    q = discrete_orthopoly(delays, degree).vectors
+    np.testing.assert_allclose(q.T @ q, np.eye(degree), rtol=0.0, atol=1e-14)
 
 
 def test_curvatures_from_model_reads_superdiagonal():

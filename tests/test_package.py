@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 
 import delayframe
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+README = ROOT / "README.md"
 
 # __main__ runs the CLI on import, so it is not a library module.
 MODULES = sorted(
@@ -42,3 +45,17 @@ def test_demo_runs(demo):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_examples_run(capsys):
+    # The python blocks run in order in one namespace, as a reader pasting
+    # them into one session would, so a later block may use an earlier
+    # block's imports.
+    text = README.read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks, "README has no python examples"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    # A dataclass whose fields all have repr=False prints as "Name()".
+    assert re.search(r"^\w+\(\)$", capsys.readouterr().out, flags=re.M) is None
