@@ -105,7 +105,7 @@ class ModelCurvatures:
 
     @property
     def curvatures(self) -> tuple:
-        return tuple(np.diag(self.k_matrix, 1))
+        return tuple(np.diag(self.k_matrix, 1).tolist())
 
 
 def central_difference(values, dt: float) -> np.ndarray:

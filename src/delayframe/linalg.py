@@ -14,16 +14,18 @@ A Hankel window (``a[i, j] = x[i + j]``, recognized by its equal strides,
 such as a ``sliding_window_view``) is never formed: its three products
 come from the series, the Gram matrix by the displacement recurrence and
 the products with thin matrices as correlations (the structured SSA
-products of Korobeynikov, 2010). Given ``center``, it factorizes
-``a - a[center]`` without forming it either. Any other matrix takes the
-same products as plain matrix products. Squaring the matrix squares its
-condition number, so one pass is enough only when the rank-th Gram
-eigenvalue exceeds ``1e-12`` times the largest (sigma_rank / sigma_1
-above about 1e-6). Below that floor the passes repeat, as subspace
-iteration on the same products (Halko, Martinsson and Tropp, SIAM Review
-2011, section 4.5), until every pair's residual is at rounding level or
-eight passes have run. The input is scaled by a power of two first, so
-no product overflows and the factors keep their bits.
+products of Korobeynikov, 2010), each taken as blocked matrix products
+on overlapping rows of the series, a few rows at a time. Given
+``center``, it factorizes ``a - a[center]`` without forming it either.
+Any other matrix takes the same products as plain matrix products.
+Squaring the matrix squares its condition number, so one pass is enough
+only when the rank-th Gram eigenvalue exceeds ``1e-12`` times the
+largest (sigma_rank / sigma_1 above about 1e-6). Below that floor the
+passes repeat, as subspace iteration on the same products (Halko,
+Martinsson and Tropp, SIAM Review 2011, section 4.5), until every pair's
+residual is at rounding level or eight passes have run. The input is
+scaled by a power of two first, so no product overflows and the factors
+keep their bits.
 
 ``_one_blas_thread`` runs a block with numpy's BLAS on one thread; the
 command line wraps each command in it. The library's routines run at
@@ -40,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -74,6 +77,14 @@ _MAX_PASSES = 8
 # widens to the whole space.
 _OVERSAMPLE = 4
 _EIG_BUDGET = 64
+
+# _correlate folds the series into overlapping rows of _FOLD outputs (or
+# kernel values) each and copies _CHUNK of them at a time, so its
+# matrix products are BLAS-3 while its temporaries stay small: the
+# Toeplitz matrix of a kernel grows with _FOLD, and a fit's traced peak
+# must stay below an eighth of its window.
+_FOLD = 16
+_CHUNK = 32
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
 # zero; gram_schmidt drops a vector whose residual falls below this
@@ -318,7 +329,7 @@ def _window_products(x, rows, center, tall):
     z = x - np.mean(x)
     cols = len(z) - rows + 1
     col = z[center:center + rows]
-    sums = np.correlate(z, np.ones(cols), "valid")
+    sums = _correlate(z, np.ones((cols, 1)))[:, 0]
     gram = (_hankel_gram(z, rows) - np.outer(col, sums) - np.outer(sums, col)
             + cols * np.outer(col, col))
 
@@ -333,11 +344,59 @@ def _window_products(x, rows, center, tall):
 
 
 def _correlate(x, b):
-    """``hankel(x) @ b`` or ``hankel(x).T @ b``, whichever fits ``b``'s rows:
-    one ``np.correlate`` per column of ``b``, written into one array."""
-    out = np.empty((len(x) - len(b) + 1, b.shape[1]))
-    for j, c in enumerate(b.T):
-        out[:, j] = np.correlate(x, c, "valid")
+    """``out[t] = sum_s x[t + s] * b[s]`` for each column of ``b``: that is
+    ``hankel(x) @ b`` or ``hankel(x).T @ b``, whichever fits ``b``'s rows.
+
+    Both run as matrix products on the fold of ``x``: row a of it is
+    ``x[aP : aP + P + w - 1]``, P = ``_FOLD`` and w the shorter of the
+    kernel and the output, with ``x`` padded by zeros to whole rows. The
+    rows overlap, so the fold is never formed; ``_CHUNK`` of its rows at
+    a time are copied and multiplied. A kernel no longer than the output
+    gives P outputs per fold row: the fold times the banded Toeplitz
+    matrix of ``b``, (P + w - 1) x P*k, whose column (p, j) is column j
+    of ``b`` moved down by p rows. A longer kernel, viewed as rows of P*k
+    values, is summed against the fold as ``fold.T @ b``, chunk by chunk,
+    into one (P + w - 1) x P*k matrix M; output t is then the sum over p
+    of ``M[t + p, (p, j)]``. Both sum in another order than a dot product
+    per output does, so the last bits differ from ``np.correlate``'s.
+    """
+    length, k = b.shape
+    n = len(x) - length + 1
+    short = length <= n
+    width = _FOLD + min(length, n) - 1
+    rows = -(-max(length, n) // _FOLD)
+    padded = np.zeros((rows - 1) * _FOLD + width)
+    padded[:len(x)] = x
+    fold = sliding_window_view(padded, width)[::_FOLD]
+    chunk = np.empty((min(_CHUNK, rows), width))
+    if short:
+        toeplitz = np.zeros((width, _FOLD, k))
+        for p in range(_FOLD):
+            toeplitz[p:p + length, p] = b
+        toeplitz = toeplitz.reshape(width, _FOLD * k)
+        out = np.empty((rows * _FOLD, k))
+        folded = out.reshape(rows, _FOLD * k)
+        for a in range(0, rows, _CHUNK):
+            m = min(_CHUNK, rows - a)
+            np.copyto(chunk[:m], fold[a:a + m])
+            np.matmul(chunk[:m], toeplitz, out=folded[a:a + m])
+        return out[:n]
+    kernel = np.zeros((len(chunk) * _FOLD, k))
+    total = np.zeros((width, _FOLD * k))
+    part = np.empty_like(total)
+    for a in range(0, rows, _CHUNK):
+        m = min(_CHUNK, rows - a)
+        np.copyto(chunk[:m], fold[a:a + m])
+        taken = b[a * _FOLD:(a + m) * _FOLD]
+        kernel[:len(taken)] = taken
+        kernel[len(taken):] = 0.0
+        np.matmul(chunk[:m].T, kernel[:m * _FOLD].reshape(m, _FOLD * k),
+                  out=part)
+        total += part
+    total = total.reshape(width, _FOLD, k)
+    out = total[:n, 0].copy()
+    for p in range(1, _FOLD):
+        out += total[p:p + n, p]
     return out
 
 
@@ -350,7 +409,7 @@ def _hankel_gram(x, rows):
     """
     n = len(x) - rows + 1
     gram = np.empty((rows, rows))
-    gram[0] = gram[:, 0] = np.correlate(x, x[:n], "valid")
+    gram[0] = gram[:, 0] = _correlate(x, x[:n, None])[:, 0]
     for i in range(rows - 1):
         step = x[i + n] * x[i + n:] - x[i] * x[i:rows - 1]
         gram[i + 1, i + 1:] = gram[i + 1:, i + 1] = gram[i, i:-1] + step

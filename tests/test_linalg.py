@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayframe import linalg
@@ -303,6 +303,56 @@ def test_shavok_fit_takes_eigh_of_small_blocks_only(series_cache, monkeypatch):
     fit(series_cache("lorenz_short"), cfg)
     assert shapes
     assert all(s[0] <= cfg.rank + linalg._OVERSAMPLE for s in shapes), shapes
+
+
+def _correlate_oracle(x, b):
+    """The products _correlate replaced: one ``np.correlate`` per column."""
+    out = np.empty((len(x) - len(b) + 1, b.shape[1]))
+    for j, c in enumerate(b.T):
+        out[:, j] = np.correlate(x, c, "valid")
+    return out
+
+
+# Lengths below and above one chunk of folded rows (_FOLD * _CHUNK = 512).
+_LENGTHS = st.one_of(st.integers(min_value=1, max_value=48),
+                     st.integers(min_value=480, max_value=1100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), _LENGTHS, _LENGTHS,
+       st.integers(min_value=1, max_value=9),
+       st.sampled_from(["contiguous", "transposed", "reversed", "spread-adjoint"]))
+@example(seed=0, kernel=1, output=1, columns=1, layout="contiguous")
+@example(seed=1, kernel=1, output=700, columns=3, layout="contiguous")
+@example(seed=2, kernel=700, output=1, columns=9, layout="transposed")
+@example(seed=3, kernel=513, output=513, columns=4, layout="spread-adjoint")
+@example(seed=4, kernel=512, output=16, columns=2, layout="reversed")
+def test_correlate_matches_per_column_np_correlate(seed, kernel, output,
+                                                   columns, layout):
+    # Kernels shorter than, as long as and longer than the output, so both
+    # folded products run, with lengths on and off the fold width and the
+    # chunk, for kernels in the layouts the fit passes (the adjoint of the
+    # centering's prefix sums) and others no product may assume away. The
+    # sums run in another order than np.correlate's: each column agrees to
+    # a few eps * |x| * |b_j| on zero-mean data.
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal(kernel + output - 1)
+    if layout == "transposed":
+        b = gen.standard_normal((columns, kernel)).T
+    elif layout == "reversed":
+        b = gen.standard_normal((kernel, columns))[::-1]
+    elif layout == "spread-adjoint":
+        q = gen.standard_normal((kernel + 1, columns))
+        b = linalg._spread_adjoint(q, int(gen.integers(kernel + 1)))
+    else:
+        b = gen.standard_normal((kernel, columns))
+    got = linalg._correlate(x, b)
+    want = _correlate_oracle(x, b)
+    assert got.shape == want.shape == (output, columns)
+    bound = (4.0 * np.finfo(float).eps * np.linalg.norm(x)
+             * np.linalg.norm(b, axis=0))
+    err = np.abs(got - want).max(axis=0)
+    assert np.all(err <= bound), (err / bound)
 
 
 def test_pseudo_inverse_moore_penrose(rng):
