@@ -84,6 +84,14 @@ def format_series_csv(x: TimeSeries) -> str:
     return _float_table("time,value\n", x.t0, x.dt, [x.values])
 
 
+def _file_line(lines, k: int) -> int:
+    """The 1-based file line of row ``k`` (0-based) of ``lines`` once blank
+    and comment lines are dropped, for error messages."""
+    numbers = [n for n, row in enumerate(map(str.strip, lines), 1)
+               if row and not row.startswith("#")]
+    return numbers[k]
+
+
 def load_series_csv(path: str) -> TimeSeries:
     """Read a two-column time,value CSV into a uniform TimeSeries.
 
@@ -108,12 +116,14 @@ def load_series_csv(path: str) -> TimeSeries:
     for i, row in enumerate(rows[1:]):
         cells = row.split(",")
         if len(cells) != 2:
-            raise DataError(f"{path}: row {i + 2} has {len(cells)} columns, expected 2")
+            raise DataError(f"{path}: line {_file_line(lines, i + 1)} has "
+                            f"{len(cells)} columns, expected 2")
         try:
             times[i] = float(cells[0])
             values[i] = float(cells[1])
         except ValueError as exc:
-            raise DataError(f"{path}: row {i + 2} is not numeric: {row!r}") from exc
+            raise DataError(f"{path}: line {_file_line(lines, i + 1)} is not "
+                            f"numeric: {row!r}") from exc
     if not np.all(np.isfinite(times)):
         raise DataError(f"{path}: time column has non-finite entries")
     diffs = np.diff(times)

@@ -129,41 +129,96 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _rk4_3(f, state, dt, steps):
-    """Fixed-step RK4 of a 3-state system, one row per step.
+def _diverged(step):
+    return NumericalError(f"state became non-finite at integration step {step}")
 
-    Straight-line scalar code: one right-hand-side call per stage, each
-    coordinate updated as s + dt * (k1 + 2*k2 + 2*k3 + k4) / 6. The first
-    non-finite state raises NumericalError naming its step.
-    """
-    out = np.empty((steps, 3))
-    x, y, z = state
+
+# The RK4 loops below store sample k's state at flat[k*d : k*d + d] of a
+# memoryview over the preallocated (samples, d) array: one flat store per
+# value costs far less than a numpy row assignment. They take samples - 1
+# steps, so every state they compute is stored, and the first non-finite
+# state raises NumericalError naming its step. Each coordinate advances as
+# s + dt * (k1 + 2*k2 + 2*k3 + k4) / 6 in straight-line scalar code. The
+# constants are written as floats: CPython takes a slower generic path
+# for an int operand, and the result is the same double.
+
+
+def _lorenz_rk4(sig, rho, beta, state, dt, samples):
+    """RK4 of the Lorenz system, its right-hand side written out per stage."""
+    out = np.empty((samples, 3))
+    flat = memoryview(out.reshape(-1))
+    x, y, z = flat[0], flat[1], flat[2] = state
     half = 0.5 * dt
     isfinite = math.isfinite
-    for i in range(steps):
-        out[i] = x, y, z
-        k1x, k1y, k1z = f(x, y, z)
-        k2x, k2y, k2z = f(x + half * k1x, y + half * k1y, z + half * k1z)
-        k3x, k3y, k3z = f(x + half * k2x, y + half * k2y, z + half * k2z)
-        k4x, k4y, k4z = f(x + dt * k3x, y + dt * k3y, z + dt * k3z)
-        x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
-        y = y + dt * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
-        z = z + dt * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
+    for j in range(3, 3 * samples, 3):
+        k1x = sig * (y - x)
+        k1y = x * (rho - z) - y
+        k1z = x * y - beta * z
+        u, v, w = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = sig * (v - u)
+        k2y = u * (rho - w) - v
+        k2z = u * v - beta * w
+        u, v, w = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = sig * (v - u)
+        k3y = u * (rho - w) - v
+        k3z = u * v - beta * w
+        u, v, w = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = sig * (v - u)
+        k4y = u * (rho - w) - v
+        k4z = u * v - beta * w
+        x = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        z = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
         if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise NumericalError(
-                f"state became non-finite at integration step {i + 1}"
-            )
+            raise _diverged(j // 3)
+        flat[j] = x
+        flat[j + 1] = y
+        flat[j + 2] = z
     return out
 
 
-def _rk4_4(f, state, dt, steps):
-    """_rk4_3 for a 4-state system."""
-    out = np.empty((steps, 4))
-    a, b, c, d = state
+def _rossler_rk4(a, b, c, state, dt, samples):
+    """RK4 of the Rossler system, its right-hand side written out per stage."""
+    out = np.empty((samples, 3))
+    flat = memoryview(out.reshape(-1))
+    x, y, z = flat[0], flat[1], flat[2] = state
     half = 0.5 * dt
     isfinite = math.isfinite
-    for i in range(steps):
-        out[i] = a, b, c, d
+    for j in range(3, 3 * samples, 3):
+        k1x = -y - z
+        k1y = x + a * y
+        k1z = b + z * (x - c)
+        u, v, w = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = -v - w
+        k2y = u + a * v
+        k2z = b + w * (u - c)
+        u, v, w = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = -v - w
+        k3y = u + a * v
+        k3z = b + w * (u - c)
+        u, v, w = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = -v - w
+        k4y = u + a * v
+        k4z = b + w * (u - c)
+        x = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        z = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise _diverged(j // 3)
+        flat[j] = x
+        flat[j + 1] = y
+        flat[j + 2] = z
+    return out
+
+
+def _rk4_4(f, state, dt, samples):
+    """RK4 of a 4-state system with right-hand side f, one call per stage."""
+    out = np.empty((samples, 4))
+    flat = memoryview(out.reshape(-1))
+    a, b, c, d = flat[0], flat[1], flat[2], flat[3] = state
+    half = 0.5 * dt
+    isfinite = math.isfinite
+    for j in range(4, 4 * samples, 4):
         k1a, k1b, k1c, k1d = f(a, b, c, d)
         k2a, k2b, k2c, k2d = f(
             a + half * k1a, b + half * k1b, c + half * k1c, d + half * k1d
@@ -174,14 +229,16 @@ def _rk4_4(f, state, dt, steps):
         k4a, k4b, k4c, k4d = f(
             a + dt * k3a, b + dt * k3b, c + dt * k3c, d + dt * k3d
         )
-        a = a + dt * (k1a + 2 * k2a + 2 * k3a + k4a) / 6
-        b = b + dt * (k1b + 2 * k2b + 2 * k3b + k4b) / 6
-        c = c + dt * (k1c + 2 * k2c + 2 * k3c + k4c) / 6
-        d = d + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6
+        a = a + dt * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+        b = b + dt * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+        c = c + dt * (k1c + 2.0 * k2c + 2.0 * k3c + k4c) / 6.0
+        d = d + dt * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
         if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-            raise NumericalError(
-                f"state became non-finite at integration step {i + 1}"
-            )
+            raise _diverged(j // 4)
+        flat[j] = a
+        flat[j + 1] = b
+        flat[j + 2] = c
+        flat[j + 3] = d
     return out
 
 
@@ -198,20 +255,12 @@ def simulate(spec: SystemSpec) -> Trajectory:
         states = (np.sin(t) + np.sin(2.0 * t))[:, None].copy()
         return Trajectory(spec=spec, states=states)
     if spec.kind == "lorenz":
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-
-        def f(x, y, z):
-            return sig * (y - x), x * (rho - z) - y, x * y - beta * z
-
-        states = _rk4_3(f, spec.initial_state, spec.dt, spec.samples)
+        states = _lorenz_rk4(p["sigma"], p["rho"], p["beta"],
+                             spec.initial_state, spec.dt, spec.samples)
         return Trajectory(spec=spec, states=states)
     if spec.kind == "rossler":
-        a, b, c = p["a"], p["b"], p["c"]
-
-        def f(x, y, z):
-            return -y - z, x + a * y, b + z * (x - c)
-
-        states = _rk4_3(f, spec.initial_state, spec.dt, spec.samples)
+        states = _rossler_rk4(p["a"], p["b"], p["c"],
+                              spec.initial_state, spec.dt, spec.samples)
         return Trajectory(spec=spec, states=states)
     # double pendulum
     gl = p["g"] / p["l"]

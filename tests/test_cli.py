@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayframe
 from delayframe import cli, linalg, models
@@ -61,11 +63,65 @@ def test_csv_indented_comment_is_skipped(tmp_path):
 
 def test_csv_rejects_bad_rows(tmp_path):
     path = _write(tmp_path / "x.csv", "time,value\n0.0,1.0\n0.1,abc\n")
-    with pytest.raises(DataError, match="row 3"):
+    with pytest.raises(DataError, match="line 3 is not numeric"):
         load_series_csv(path)
     path = _write(tmp_path / "y.csv", "time,value\n0.0,1.0,9\n0.1,2.0\n")
-    with pytest.raises(DataError, match="columns"):
+    with pytest.raises(DataError, match="line 2 has 3 columns"):
         load_series_csv(path)
+    # Header, comments and blank lines count: the bad row is line 5.
+    path = _write(tmp_path / "z.csv", "time,value\n# note\n\n0.0,1.0\n0.1,abc\n")
+    with pytest.raises(DataError, match="line 5 is not numeric"):
+        load_series_csv(path)
+    path = _write(tmp_path / "w.csv", "# note\ntime,value\n\n0.0,1.0\n0.1\n")
+    with pytest.raises(DataError, match="line 5 has 1 columns"):
+        load_series_csv(path)
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.225e-308, -0.0]),
+)
+# The times t0 + k*dt read back uniform to 1e-9 only while |t0| stays
+# within a few million steps of zero.
+_CSV_GRID = st.tuples(st.floats(1e-6, 1e3), st.floats(-1e6, 1e6))
+_BAD_ROWS = st.sampled_from(
+    ["0.5", "0.5,1.0,2.0", "0.5,abc", "abc,1.0", "0.5,", ",", "0.5;1.0"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_CSV_VALUES, min_size=2, max_size=40), grid=_CSV_GRID)
+def test_csv_round_trip_keeps_the_bits(tmp_path_factory, values, grid):
+    dt, steps = grid
+    x = TimeSeries(t0=steps * dt, dt=dt, values=np.array(values))
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    y = load_series_csv(_write(path, format_series_csv(x)))
+    # Compared by value: the time column is t0 + k*dt, so t0 = -0.0 is
+    # written as 0.0.
+    assert y.t0 == x.t0
+    assert y.values.tobytes() == x.values.tobytes()
+    assert y.dt == pytest.approx(x.dt, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_CSV_VALUES, min_size=2, max_size=20),
+       filler=st.lists(st.sampled_from(["", "# note", "  #x", "\t"]), max_size=5),
+       bad=_BAD_ROWS, data=st.data())
+def test_csv_names_the_file_line_of_a_bad_row(tmp_path_factory, values,
+                                              filler, bad, data):
+    """A bad row anywhere after the header is reported by its 1-based line
+    in the file, counting the header, comments and blank lines."""
+    lines = format_series_csv(
+        TimeSeries(t0=0.0, dt=0.5, values=np.array(values))).splitlines()
+    for line in filler:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    header = lines.index("time,value")
+    at = data.draw(st.integers(header + 1, len(lines)))
+    lines.insert(at, bad)
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    _write(path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf": line {at + 1} (has|is not numeric)"):
+        load_series_csv(str(path))
 
 
 def test_csv_rejects_jitter_with_hint(tmp_path):

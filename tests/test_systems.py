@@ -242,6 +242,34 @@ def test_rk4_bit_identical_to_index_list_oracle(kind, parameters, state, dt):
     assert np.array_equal(simulate(spec).states, expected)
 
 
+_DIVERGING = (
+    ("lorenz", (-8.0, 8.0, 27.0), 1.0, 3),
+    ("rossler", (1.0, 1.0, 1.0), 1.0, 4),
+    ("double_pendulum", (0.3, 0.2, 0.0, 0.0), 5.0, 3),
+    # The angles overflow within a step, so the RHS takes sin(inf).
+    ("double_pendulum", (0.3, 0.2, 0.0, 0.0), 8.0, 3),
+)
+
+
+@pytest.mark.parametrize("kind, state, dt, step", _DIVERGING)
+def test_rk4_takes_one_step_less_than_samples(kind, state, dt, step):
+    """A run whose last sample is the last finite state returns it; one
+    more sample raises at that step. The oracle stores the same rows."""
+    spec = SystemSpec(kind=kind, parameters={}, initial_state=state,
+                      dt=dt, samples=step)
+    states = simulate(spec).states
+    assert states.shape == (step, len(state))
+    assert np.all(np.isfinite(states))
+    with np.errstate(all="ignore"):
+        expected = _oracle_rk4(_oracle_rhs(spec), spec.initial_state, dt,
+                               step - 1, len(state))
+    assert np.array_equal(states[:-1], expected)
+    longer = SystemSpec(kind=kind, parameters={}, initial_state=state,
+                        dt=dt, samples=step + 1)
+    with pytest.raises(NumericalError, match=f"integration step {step}$"):
+        simulate(longer)
+
+
 def test_preset_series_measures_the_default_observable():
     series, obs = preset_series("pendulum_short")
     assert obs == "sin_theta1"
