@@ -80,7 +80,13 @@ def _float_table(head: str, t0: float, dt: float, columns) -> str:
 
 
 def format_series_csv(x: TimeSeries) -> str:
-    """The series as a ``time,value`` CSV that reads back to the same bits."""
+    """The series as a ``time,value`` CSV.
+
+    The values read back to the same bits. The time column is ``t0 + k *
+    dt``, so ``t0`` reads back equal in value (a ``-0.0`` becomes ``0.0``)
+    and ``dt`` as the mean step between rows, which differs from it by
+    the rounding of the times.
+    """
     return _float_table("time,value\n", x.t0, x.dt, [x.values])
 
 

@@ -3,8 +3,9 @@ discrete orthogonal polynomial bases that delay-coordinate models converge to.
 
 Conventions used throughout:
 
-* a frame is an ordered list of orthonormal vectors e1..er built from the
-  successive derivatives of a curve by Gram-Schmidt;
+* a frame is an ordered list of orthonormal vectors e1..er, the Q of one
+  QR factorization of the successive derivatives of a curve, with a
+  derivative dropped when its pivot is negligible against its own norm;
 * the curvature matrix K = (1/speed) (dQ/dt) Q^T is skew-symmetric with the
   curvatures on its first off-diagonals;
 * derivative estimates from sampled data use second-order central
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import (
     DataError, DegenerateInputError, ParameterError, check_int, check_positive,
 )
-from .linalg import as_matrix, gram_schmidt
+from .linalg import as_matrix
 
 __all__ = [
     "FrenetApparatus",
@@ -41,8 +42,8 @@ __all__ = [
     "curvatures_from_model",
 ]
 
-# Relative pivot threshold below which a Gram matrix is treated as rank
-# deficient (see analytic_curvatures_gram).
+# A derivative d_j is dependent on d_1..d_{j-1} when its squared QR pivot
+# R_jj^2 is at most this fraction of ||d_j||^2 (see _orthonormalize).
 _PIVOT_TOL = 1e-12
 
 
@@ -146,36 +147,56 @@ def derivative_stack(values, dt: float, order: int):
     return out
 
 
-def frenet_frame(derivatives) -> FrenetApparatus:
-    """Orthonormal moving frame from an ordered derivative list.
+def _orthonormalize(derivatives):
+    """Orthonormalize the derivative columns by one QR, dropping dependent ones.
 
-    e1 is the normalized first derivative, later vectors follow by
-    Gram-Schmidt. Dependent derivatives are dropped and reported through
-    the ``dropped`` field rather than raising, so a straight line yields a
-    rank-1 frame. A zero first derivative is degenerate.
+    Column j is dependent when R_jj^2 <= _PIVOT_TOL * ||d_j||^2, its own
+    norm, so the rule does not depend on the unit of time (which scales
+    d_j by s^j) and a zero column always drops. After a drop the stack is
+    factorized again without that column, so no later vector is projected
+    off a noise direction.
+
+    Returns (q, pivots, dropped): the orthonormal columns of the kept
+    derivatives with signs set so that R_jj > 0, their pivots R_jj, and
+    the input indices that were dropped.
     """
     arr = [np.asarray(d, dtype=float) for d in derivatives]
     if not arr:
-        raise ParameterError("frenet_frame needs at least one derivative")
-    dim = arr[0].shape
+        raise ParameterError("need at least one derivative")
+    shape = arr[0].shape
     for i, v in enumerate(arr):
-        if v.ndim != 1 or v.shape != dim:
-            raise ParameterError(
-                f"derivative {i} has shape {v.shape}, expected {dim}"
-            )
+        if v.ndim != 1 or v.shape != shape:
+            raise ParameterError(f"d{i + 1} has shape {v.shape}, expected {shape}")
         if not np.all(np.isfinite(v)):
-            raise DataError(f"derivative {i} contains non-finite entries")
-    speed = float(np.linalg.norm(arr[0]))
-    if speed == 0.0:
+            raise DataError(f"d{i + 1} contains non-finite entries")
+    columns = np.column_stack(arr)
+    norms = np.sum(columns**2, axis=0)
+    kept = list(range(len(arr)))
+    while True:
+        q, r = np.linalg.qr(columns[:, kept])
+        # A column past the vector length has no pivot: it is dependent.
+        pivots = np.pad(np.diag(r), (0, r.shape[1] - r.shape[0]))
+        dependent = np.flatnonzero(pivots**2 <= _PIVOT_TOL * norms[kept])
+        if dependent.size == 0:
+            break
+        del kept[dependent[0]]
+    dropped = tuple(i for i in range(len(arr)) if i not in kept)
+    return q * np.sign(pivots), np.abs(pivots), dropped
+
+
+def frenet_frame(derivatives) -> FrenetApparatus:
+    """Orthonormal moving frame from an ordered derivative list.
+
+    The frame is the Q of one QR factorization of the derivatives (e1 is
+    the normalized first derivative). Dependent derivatives are dropped
+    and reported through the ``dropped`` field rather than raising, so a
+    straight line yields a rank-1 frame. A zero first derivative is
+    degenerate.
+    """
+    q, pivots, dropped = _orthonormalize(derivatives)
+    if dropped[:1] == (0,):
         raise DegenerateInputError("first derivative is zero; the frame is undefined")
-    # Zero higher derivatives are dependent (a straight line has d2 = 0
-    # exactly), so they drop with a report instead of raising.
-    nonzero = [i for i, v in enumerate(arr) if np.linalg.norm(v) > 0.0]
-    basis, dependent = gram_schmidt([arr[i] for i in nonzero])
-    dropped = sorted(
-        set(range(len(arr))).difference(nonzero) | {nonzero[j] for j in dependent}
-    )
-    return FrenetApparatus(frame=tuple(basis), speed=speed, dropped=tuple(dropped))
+    return FrenetApparatus(frame=tuple(q.T), speed=float(pivots[0]), dropped=dropped)
 
 
 def curvature_matrix_from_frame(frames, dt: float) -> CurvatureMatrixEstimate:
@@ -237,39 +258,18 @@ def analytic_curvatures_gram(d1, d2, d3, d4):
     Raises
     ------
     DegenerateInputError
-        If some G_i is numerically singular (its smallest squared pivot
-        min_{j<=i} R_jj^2 is at most 1e-12 times its largest diagonal
-        entry), the error names the first undefined curvature and carries
-        the earlier, well-defined ones on its ``partial`` attribute. A
-        planar curve, for example, has kappa_2 undefined because G_3 is
-        singular.
+        If some derivative is dependent on the earlier ones (R_jj^2 is at
+        most 1e-12 times ||d_j||^2, a rule unchanged by the unit of time),
+        the error names the first undefined curvature and carries the
+        earlier, well-defined ones on its ``partial`` attribute. A planar
+        curve, for example, has kappa_2 undefined because d3 lies in the
+        span of d1 and d2.
     """
-    vecs = []
-    for name, d in (("d1", d1), ("d2", d2), ("d3", d3), ("d4", d4)):
-        v = np.asarray(d, dtype=float)
-        if v.ndim != 1:
-            raise ParameterError(f"{name} must be 1-d, got ndim={v.ndim}")
-        if not np.all(np.isfinite(v)):
-            raise DataError(f"{name} contains non-finite entries")
-        vecs.append(v)
-    length = vecs[0].shape[0]
-    for name, v in zip(("d2", "d3", "d4"), vecs[1:]):
-        if v.shape[0] != length:
-            raise ParameterError(
-                f"{name} has length {v.shape[0]}, expected {length}"
-            )
-    columns = np.column_stack(vecs)
-    r = np.abs(np.diag(np.linalg.qr(columns, mode="r")))
-    # The smallest squared pivot of G_i only falls and its largest
-    # diagonal entry only grows with i, so the defined G_i are a prefix.
-    smallest = np.minimum.accumulate(r**2)
-    largest = np.maximum.accumulate(np.sum(columns**2, axis=0))
-    defined = int(np.count_nonzero(smallest > _PIVOT_TOL * largest))
+    _, r, dropped = _orthonormalize((d1, d2, d3, d4))
+    defined = dropped[0] if dropped else 4
     if defined == 0:
         raise DegenerateInputError("first derivative is zero; kappa_1 is undefined")
-    kappas = tuple(
-        float(r[i] / (r[i - 1] * r[0])) for i in range(1, min(defined, 4))
-    )
+    kappas = tuple(float(r[i] / (r[i - 1] * r[0])) for i in range(1, defined))
     if defined < 4:
         raise DegenerateInputError(
             f"kappa_{defined} is undefined: the Gram matrix of the first "

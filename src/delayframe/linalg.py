@@ -1,9 +1,8 @@
 """Dense linear algebra helpers with deterministic conventions.
 
-Thin wrappers around LAPACK (via numpy) plus a modified Gram-Schmidt that
-reports dropped directions. All routines validate their inputs and raise
-errors from the shared taxonomy instead of letting numpy exceptions leak
-to callers.
+Thin wrappers around LAPACK (via numpy). All routines validate their
+inputs and raise errors from the shared taxonomy instead of letting numpy
+exceptions leak to callers.
 
 ``thin_svd`` needs only a few leading triplets of a matrix that is much
 wider than it is tall (or the transpose), so it works on the short side:
@@ -46,7 +45,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
-    DegenerateInputError,
     NumericalError,
     ParameterError,
     check_int,
@@ -58,7 +56,6 @@ __all__ = [
     "thin_svd",
     "pseudo_inverse",
     "eigen_nonsymmetric",
-    "gram_schmidt",
 ]
 
 # Smallest Gram eigenvalue ratio w_rank / w_1, i.e. (sigma_rank / sigma_1)^2,
@@ -87,10 +84,8 @@ _FOLD = 16
 _CHUNK = 32
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
-# zero; gram_schmidt drops a vector whose residual falls below this
-# fraction of its input norm.
+# zero.
 _PINV_RTOL = 1e-12
-_GS_DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -522,52 +517,3 @@ def _blas_thread_functions():
                 return getter, setter
     return None, None
 
-
-def gram_schmidt(vectors):
-    """Modified Gram-Schmidt with explicit reporting of dropped inputs.
-
-    Vectors whose residual after projection falls below ``1e-12`` times
-    their input norm are dropped, not normalized.
-
-    Parameters
-    ----------
-    vectors : sequence of 1-d arrays, or a 2-d array of row vectors.
-
-    Returns
-    -------
-    (basis, dropped) : list of orthonormal 1-d arrays in input order, and
-        a tuple of the input indices that were dropped.
-
-    Raises
-    ------
-    DegenerateInputError
-        If an input vector is exactly zero; the message names its index.
-    """
-    arr = [np.asarray(v, dtype=float) for v in vectors]
-    if not arr:
-        raise ParameterError("gram_schmidt needs at least one vector")
-    dim = arr[0].shape
-    for i, v in enumerate(arr):
-        if v.ndim != 1:
-            raise ParameterError(f"vector {i} must be 1-d, got ndim={v.ndim}")
-        if v.shape != dim:
-            raise ParameterError(
-                f"vector {i} has length {v.shape[0]}, expected {dim[0]}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DataError(f"vector {i} contains non-finite entries")
-    basis: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i, v in enumerate(arr):
-        norm_in = float(np.linalg.norm(v))
-        if norm_in == 0.0:
-            raise DegenerateInputError(f"input vector {i} is zero")
-        w = v.copy()
-        for q in basis:
-            w -= (q @ w) * q
-        norm_out = float(np.linalg.norm(w))
-        if norm_out < _GS_DROP_TOL * norm_in:
-            dropped.append(i)
-            continue
-        basis.append(w / norm_out)
-    return basis, tuple(dropped)

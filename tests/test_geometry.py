@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from delayframe.errors import DegenerateInputError, ParameterError
@@ -16,7 +18,6 @@ from delayframe.geometry import (
     discrete_orthopoly,
     frenet_frame,
 )
-from delayframe.linalg import gram_schmidt
 
 
 def test_central_difference_exact_on_linear():
@@ -78,16 +79,59 @@ def test_frenet_frame_straight_line_drops_higher_terms():
     np.testing.assert_allclose(app.frame[0], d1 / np.linalg.norm(d1))
 
 
+def test_frenet_frame_drops_derivatives_past_the_dimension():
+    app = frenet_frame([[2.0, 0.0], [1.0, 1.0], [3.0, -2.0]])
+    assert app.dropped == (2,)
+    np.testing.assert_allclose(np.vstack(app.frame), np.eye(2), rtol=0.0, atol=1e-15)
+
+
 def test_frenet_frame_reports_zero_and_dependent_inputs(rng):
     d1, d3 = rng.standard_normal(30), rng.standard_normal(30)
     app = frenet_frame([d1, np.zeros(30), d3, 2.0 * d1 - d3])
-    # the zero input drops before Gram-Schmidt, the dependent one inside
-    # it; indices refer to the caller's list either way
+    # indices refer to the caller's list, and the frame is that of the
+    # stack refactored without the dropped columns
     assert app.dropped == (1, 3)
-    basis, dropped = gram_schmidt([d1, d3])
-    assert dropped == ()
-    for got, want in zip(app.frame, basis):
+    kept = frenet_frame([d1, d3])
+    assert kept.dropped == ()
+    for got, want in zip(app.frame, kept.frame, strict=True):
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_frenet_frame_spans_its_inputs_and_reports_planted_drops(seed):
+    """Random stacks with zero and dependent columns planted among them."""
+    gen = np.random.default_rng(seed)
+    length = int(gen.integers(6, 12))
+    columns, planted = [gen.standard_normal(length)], []
+    for i in range(1, int(gen.integers(2, 7))):
+        kind = gen.integers(3)
+        if kind == 0:
+            columns.append(gen.standard_normal(length))
+            continue
+        planted.append(i)
+        if kind == 1:
+            columns.append(np.zeros(length))
+        else:
+            columns.append(np.column_stack(columns) @ gen.standard_normal(i))
+    app = frenet_frame(columns)
+    q = np.vstack(app.frame)
+    np.testing.assert_allclose(q @ q.T, np.eye(app.rank), rtol=0.0, atol=1e-12)
+    for v in columns:
+        resid = v - q.T @ (q @ v)
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(v)
+    assert app.dropped == tuple(planted)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.001])
+def test_frame_and_gram_curvatures_agree_on_a_sampled_planar_circle(dt):
+    # The differenced d3 of a single sine is -d1 up to rounding amplified
+    # by 1/dt^3; both functions must call it dependent.
+    t = np.arange(0.0, 2.0 * np.pi, dt)
+    ds = derivative_stack(np.sin(t), dt, 4)
+    assert frenet_frame(ds).dropped[:1] == (2,)
+    with pytest.raises(DegenerateInputError, match="kappa_2"):
+        analytic_curvatures_gram(*ds)
 
 
 def test_frenet_frame_zero_first_derivative():
@@ -135,6 +179,24 @@ def test_gram_curvatures_planar_circle_degenerate():
     partial = info.value.partial
     assert len(partial) == 1
     assert partial[0] == pytest.approx(1.0 / np.linalg.norm(np.cos(t)), rel=1e-9)
+
+
+def _three_tone_derivatives(t, scale):
+    """Exact d1..d4 of sin t + sin 2t + sin(3t)/3 in a time unit 1/scale
+    of the original one, so d_k carries a factor scale**k."""
+    return [
+        scale**k * sum(a * m**k * np.sin(m * t + k * np.pi / 2)
+                       for m, a in ((1, 1.0), (2, 1.0), (3, 1.0 / 3.0)))
+        for k in range(1, 5)
+    ]
+
+
+def test_gram_curvatures_do_not_depend_on_the_time_unit():
+    t = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+    base = analytic_curvatures_gram(*_three_tone_derivatives(t, 1.0))
+    for scale in (1e-4, 1e-3, 1e2, 1e4):
+        got = analytic_curvatures_gram(*_three_tone_derivatives(t, scale))
+        np.testing.assert_allclose(got, base, rtol=1e-9, atol=0.0)
 
 
 def test_gram_curvatures_homogeneity(rng):

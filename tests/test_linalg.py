@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from delayframe import linalg
 from delayframe.embedding import TimeSeries, build_hankel, split_shift
-from delayframe.errors import DataError, DegenerateInputError, ParameterError
+from delayframe.errors import DataError, ParameterError
 from delayframe.linalg import (
     as_matrix,
     eigen_nonsymmetric,
-    gram_schmidt,
     pseudo_inverse,
     thin_svd,
 )
@@ -396,44 +395,6 @@ def test_eigen_ordering_is_imaginary_major(rng):
     w = eigen_nonsymmetric(a).eigenvalues
     keys = list(zip(w.imag, w.real))
     assert keys == sorted(keys)
-
-
-def test_gram_schmidt_orthonormalizes(rng):
-    vectors = [rng.standard_normal(10) for _ in range(4)]
-    basis, dropped = gram_schmidt(vectors)
-    assert dropped == ()
-    q = np.column_stack(basis)
-    np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
-
-
-def test_gram_schmidt_drops_dependent_vector(rng):
-    v1 = rng.standard_normal(8)
-    v2 = rng.standard_normal(8)
-    basis, dropped = gram_schmidt([v1, v2, 2.0 * v1 - 3.0 * v2])
-    assert dropped == (2,)
-    assert len(basis) == 2
-
-
-def test_gram_schmidt_zero_vector_raises():
-    with pytest.raises(DegenerateInputError, match="1"):
-        gram_schmidt([np.ones(5), np.zeros(5)])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_gram_schmidt_span_property(seed):
-    """Every input vector lies in the span of the returned basis."""
-    gen = np.random.default_rng(seed)
-    vectors = [gen.standard_normal(7) for _ in range(gen.integers(1, 6))]
-    basis, dropped = gram_schmidt(vectors)
-    if not basis:
-        return
-    q = np.column_stack(basis)
-    for i, v in enumerate(vectors):
-        if i in dropped:
-            continue
-        resid = v - q @ (q.T @ v)
-        assert np.linalg.norm(resid) <= 1e-9 * max(np.linalg.norm(v), 1.0)
 
 
 def test_one_blas_thread_sets_one_and_restores_the_count():

@@ -62,3 +62,24 @@ def test_readme_examples_run(capsys):
     assert re.search(r"^\w+\(\)$", out, flags=re.M) is None
     # Printed numbers are plain floats, not numpy scalars.
     assert "np.float64(" not in out
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # Under the suite's own settings (warnings are errors), a failing
+    # @given test must end in hypothesis's report, not in an INTERNALERROR.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
