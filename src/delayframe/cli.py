@@ -18,12 +18,15 @@ error (each error class's ``exit_code``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -90,46 +93,112 @@ def format_series_csv(x: TimeSeries) -> str:
     return _float_table("time,value\n", x.t0, x.dt, [x.values])
 
 
-def _file_line(lines, k: int) -> int:
-    """The 1-based file line of row ``k`` (0-based) of ``lines`` once blank
-    and comment lines are dropped, for error messages."""
-    numbers = [n for n, row in enumerate(map(str.strip, lines), 1)
-               if row and not row.startswith("#")]
-    return numbers[k]
+def _is_header(line: str) -> bool:
+    return [c.strip().lower() for c in line.split(",")] == ["time", "value"]
+
+
+def _is_number(cell: str) -> bool:
+    """Whether numpy's C parser reads ``cell`` as a float: ``float()``'s
+    syntax in ASCII, without ``_`` digit separators, with whitespace
+    around it allowed."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def _open_csv(path: str):
+    """``path`` opened as text; a file that cannot be read or is not UTF-8
+    is a DataError."""
+    try:
+        # utf-8-sig drops a byte-order mark, which some editors write.
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _reject(path: str, reason) -> NoReturn:
+    """Raise the DataError for the first rule the CSV at ``path`` breaks.
+
+    This is ``load_series_csv``'s error path. It reads the whole file
+    first, so a file that is not UTF-8 is reported as such wherever the
+    bad byte sits, then checks the header, the row count and each row in
+    turn, naming a bad row by its 1-based file line (the header, comments
+    and blank lines count). ``reason`` is the parser's own message, the
+    last resort.
+    """
+    with _open_csv(path) as fh:
+        lines = fh.readlines()
+    # The same skip rule as load_series_csv's, written out in both: a
+    # call per line would cost that reader about a tenth of its time.
+    rows = [(n, text.rstrip()) for n, line in enumerate(lines, 1)
+            if (text := line.lstrip()) and text[0] != "#"]
+    if not rows or not _is_header(rows[0][1]):
+        raise DataError(f"{path}: expected a 'time,value' header")
+    if len(rows) < 3:
+        raise DataError(f"{path}: need at least 2 data rows")
+    for n, row in rows[1:]:
+        cells = row.split(",")
+        if len(cells) != 2:
+            raise DataError(f"{path}: line {n} has {len(cells)} columns, expected 2")
+        if not all(map(_is_number, cells)):
+            raise DataError(f"{path}: line {n} is not numeric: {row!r}")
+    raise DataError(f"{path}: {reason}")
 
 
 def load_series_csv(path: str) -> TimeSeries:
     """Read a two-column time,value CSV into a uniform TimeSeries.
 
-    The header is required; spacing must be uniform to 1e-9 relative
-    jitter. Non-uniform series are data errors with a hint to resample.
+    The file is UTF-8 text, with or without a byte-order mark. Lines that
+    are blank, whitespace-only or start with ``#`` after any indentation
+    are skipped; the first other line is the ``time,value`` header (case
+    and spaces around each name ignored), and at least 2 rows of two
+    comma-separated cells follow it. A cell is a decimal float in ASCII
+    as numpy's C parser reads it, with spaces around it allowed: an
+    optional sign, digits with an optional point and exponent (``1``,
+    ``-2.5``, ``.5``, ``6.02e23``), or ``inf``, ``infinity`` or ``nan`` in
+    any case. Digit separators (``1_0``), non-ASCII digits, hexadecimal,
+    quotes and a trailing ``# note`` are errors that name the row's
+    1-based file line. Times and values must be finite (``nan`` and
+    ``inf`` parse, then are rejected), and times strictly increasing with
+    uniform spacing to 1e-9 relative jitter; a non-uniform series is a
+    data error with a hint to resample. Lines end in ``\\n``, ``\\r\\n``
+    or ``\\r``.
+
+    The rows stream from the file into ``np.loadtxt``, so no list of lines
+    is built; only a rejected file is read a second time, to name its
+    first bad line.
     """
-    try:
-        # utf-8-sig drops a byte-order mark, which some editors write.
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    rows = [row for row in map(str.strip, lines) if row and not row.startswith("#")]
-    if not rows or [c.strip().lower() for c in rows[0].split(",")] != ["time", "value"]:
-        raise DataError(f"{path}: expected a 'time,value' header")
-    if len(rows) < 3:
-        raise DataError(f"{path}: need at least 2 data rows")
-    times = np.empty(len(rows) - 1)
-    values = np.empty(len(rows) - 1)
-    for i, row in enumerate(rows[1:]):
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise DataError(f"{path}: line {_file_line(lines, i + 1)} has "
-                            f"{len(cells)} columns, expected 2")
-        try:
-            times[i] = float(cells[0])
-            values[i] = float(cells[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {_file_line(lines, i + 1)} is not "
-                            f"numeric: {row!r}") from exc
+    table = reason = None
+    with _open_csv(path) as fh:
+        # Skip blank and whitespace-only lines and comments ("#" after any
+        # indentation).
+        rows = (line for line in fh if (text := line.lstrip()) and text[0] != "#")
+        if _is_header(next(rows, "")):
+            try:
+                with warnings.catch_warnings():
+                    # A header without rows is rejected below.
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                # A UnicodeDecodeError lands here too, and the error path,
+                # which decodes the whole file first, reports it.
+                reason = exc
+    if table is None or table.shape[1] != 2 or len(table) < 2:
+        _reject(path, reason)
+    times = table[:, 0]
+    # Contiguous, like every other series: a strided view could take other
+    # BLAS kernels and move the fit's last bits.
+    values = table[:, 1].copy()
     if not np.all(np.isfinite(times)):
         raise DataError(f"{path}: time column has non-finite entries")
     diffs = np.diff(times)

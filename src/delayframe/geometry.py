@@ -169,7 +169,13 @@ def _orthonormalize(derivatives):
             raise ParameterError(f"d{i + 1} has shape {v.shape}, expected {shape}")
         if not np.all(np.isfinite(v)):
             raise DataError(f"d{i + 1} contains non-finite entries")
+    # Each column is scaled by a power of two to a largest entry in
+    # [0.5, 1), so neither its squares nor the QR can overflow or fall into
+    # subnormals; the scaling moves no bit of Q and is undone exactly on
+    # the pivots.
     columns = np.column_stack(arr)
+    _, exponents = np.frexp(np.max(np.abs(columns), axis=0))
+    columns = np.ldexp(columns, -exponents)
     norms = np.sum(columns**2, axis=0)
     kept = list(range(len(arr)))
     while True:
@@ -181,7 +187,7 @@ def _orthonormalize(derivatives):
             break
         del kept[dependent[0]]
     dropped = tuple(i for i in range(len(arr)) if i not in kept)
-    return q * np.sign(pivots), np.abs(pivots), dropped
+    return q * np.sign(pivots), np.ldexp(np.abs(pivots), exponents[kept]), dropped
 
 
 def frenet_frame(derivatives) -> FrenetApparatus:
@@ -269,7 +275,12 @@ def analytic_curvatures_gram(d1, d2, d3, d4):
     defined = dropped[0] if dropped else 4
     if defined == 0:
         raise DegenerateInputError("first derivative is zero; kappa_1 is undefined")
-    kappas = tuple(float(r[i] / (r[i - 1] * r[0])) for i in range(1, defined))
+    # In mantissa and exponent, so the product cannot overflow or underflow
+    # where the curvature itself is in range; the bits are those of
+    # r[i] / (r[i-1] * r[0]) wherever that does not.
+    m, e = np.frexp(r)
+    kappas = tuple(float(np.ldexp(m[i] / (m[i - 1] * m[0]), e[i] - e[i - 1] - e[0]))
+                   for i in range(1, defined))
     if defined < 4:
         raise DegenerateInputError(
             f"kappa_{defined} is undefined: the Gram matrix of the first "

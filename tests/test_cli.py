@@ -37,6 +37,13 @@ def test_csv_requires_header(tmp_path):
         load_series_csv(path)
 
 
+@pytest.mark.parametrize("rows", ["", "0.0,1.0\n", "# note\n0.0,1.0\n\n"])
+def test_csv_needs_two_data_rows(tmp_path, rows):
+    path = _write(tmp_path / "x.csv", "time,value\n" + rows)
+    with pytest.raises(DataError, match="need at least 2 data rows"):
+        load_series_csv(path)
+
+
 def test_csv_with_byte_order_mark_fits_as_without(tmp_path):
     t = 0.01 * np.arange(300)
     text = format_series_csv(TimeSeries(t0=0.0, dt=0.01, values=np.sin(t)))
@@ -55,10 +62,22 @@ def test_csv_with_byte_order_mark_fits_as_without(tmp_path):
 
 
 def test_csv_indented_comment_is_skipped(tmp_path):
+    # Whitespace-only and blank lines are skipped too.
     path = _write(tmp_path / "x.csv",
-                  "time,value\n0.0,1.0\n  # note\n0.1,2.0\n\t#tab\n0.2,3.0\n")
+                  "time,value\n0.0,1.0\n  # note\n0.1,2.0\n\t#tab\n \t \n\n"
+                  "0.2,3.0\n")
     y = load_series_csv(path)
     np.testing.assert_array_equal(y.values, [1.0, 2.0, 3.0])
+
+
+def test_csv_with_crlf_line_ends_reads_as_with_lf(tmp_path):
+    text = "time,value\n# note\n0.0,1.5\n0.1,-2.0\n0.2,3.25\n"
+    plain = load_series_csv(_write(tmp_path / "lf.csv", text))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    y = load_series_csv(str(crlf))
+    assert (y.t0, y.dt) == (plain.t0, plain.dt)
+    assert y.values.tobytes() == plain.values.tobytes()
 
 
 def test_csv_rejects_bad_rows(tmp_path):
@@ -75,6 +94,10 @@ def test_csv_rejects_bad_rows(tmp_path):
     path = _write(tmp_path / "w.csv", "# note\ntime,value\n\n0.0,1.0\n0.1\n")
     with pytest.raises(DataError, match="line 5 has 1 columns"):
         load_series_csv(path)
+    # A comment after a row is not stripped.
+    path = _write(tmp_path / "v.csv", "time,value\n0.0,1.0 # note\n0.1,2.0\n")
+    with pytest.raises(DataError, match="line 2 is not numeric: '0.0,1.0 # note'"):
+        load_series_csv(path)
 
 
 _CSV_VALUES = st.one_of(
@@ -84,8 +107,11 @@ _CSV_VALUES = st.one_of(
 # The times t0 + k*dt read back uniform to 1e-9 only while |t0| stays
 # within a few million steps of zero.
 _CSV_GRID = st.tuples(st.floats(1e-6, 1e3), st.floats(-1e6, 1e6))
+# The last three are cells that Python's float() reads (as 10, 12 and 1)
+# but numpy's C parser does not: digit separators and non-ASCII digits.
 _BAD_ROWS = st.sampled_from(
-    ["0.5", "0.5,1.0,2.0", "0.5,abc", "abc,1.0", "0.5,", ",", "0.5;1.0"]
+    ["0.5", "0.5,1.0,2.0", "0.5,abc", "abc,1.0", "0.5,", ",", "0.5;1.0",
+     "0.5,1_0", "\u0661\u0662,1.0", "0.5,\uff11"]
 )
 
 
@@ -547,6 +573,43 @@ def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error:") and "not UTF-8" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_csv_not_utf8_past_the_first_read_is_a_data_error(tmp_path, capsys):
+    # The bad byte sits beyond the first 64 KiB, so the rows before it are
+    # already parsed when decoding fails.
+    rows = "".join(f"{0.001 * k!r},{k}.0\n" for k in range(10_000))
+    assert len(rows) > 65_536
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"time,value\n" + rows.encode() + b"10.0,\xff\n")
+    out = tmp_path / "o"
+    code = main(["diagnose", "--input", str(path), "--delays", "11",
+                 "--rank", "3", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_csv_read_peaks_near_its_table(tmp_path):
+    # The rows stream from the file into the parser: the peak is the
+    # parsed table and a few column-sized arrays, not the lines. A list of
+    # the lines alone would take more than the bound.
+    n = 50_001
+    x = TimeSeries(t0=0.0, dt=0.001, values=np.sin(0.001 * np.arange(n)))
+    path = _write(tmp_path / "x.csv", format_series_csv(x))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        y = load_series_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert y.values.tobytes() == x.values.tobytes()
+    assert peak < 3 * 16 * n
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -207,6 +207,20 @@ def test_gram_curvatures_homogeneity(rng):
         assert b == pytest.approx(a / 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e155])
+def test_gram_curvatures_and_frame_at_extreme_magnitudes(rng, scale):
+    # Squared norms of these derivatives underflow (1e-170) or overflow
+    # (1e155), and at 1e-160 the QR's products fall into subnormals.
+    ds = [rng.standard_normal(20) for _ in range(4)]
+    base = np.array(analytic_curvatures_gram(*ds))
+    scaled = [scale * d for d in ds]
+    got = np.array(analytic_curvatures_gram(*scaled))
+    np.testing.assert_allclose(got, base / scale, rtol=1e-12, atol=0.0)
+    frame = frenet_frame(scaled)
+    assert frame.dropped == ()
+    assert frame.speed == pytest.approx(scale * np.linalg.norm(ds[0]), rel=1e-12)
+
+
 def test_sv_curvature_closed_form():
     # i = 2 in the coefficient expression gives a_1 = (2/3)^2 * 15/3 = 20/9.
     kappas = curvatures_from_singular_values([1.0, 1.0, 1.0])
