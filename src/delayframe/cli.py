@@ -441,11 +441,13 @@ def _build_parser():
 def _write_artifacts(out_dir: str, artifacts: dict):
     """Write every artifact or none.
 
-    The files are staged in a temporary directory inside ``out_dir`` and
-    moved into place only after all of them are written, and a target
-    that is a directory (which a file cannot replace) fails the write
-    before anything moves, so a failed write leaves ``out_dir`` as it was.
+    The files are staged in a temporary directory inside ``out_dir``, and
+    a target that is a directory (which a file cannot replace) fails the
+    write before anything moves. Only then are they committed
+    (``_commit``), all or none, and a failed write removes an ``out_dir``
+    it created, so it leaves ``out_dir`` as it was.
     """
+    fresh = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
@@ -457,14 +459,45 @@ def _write_artifacts(out_dir: str, artifacts: dict):
                     )
                 with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
                     fh.write(text)
-            for name in artifacts:
-                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+            _commit(staging, out_dir, list(artifacts))
         finally:
             shutil.rmtree(staging, ignore_errors=True)
+            if fresh and not os.listdir(out_dir):
+                os.rmdir(out_dir)
     except OSError as exc:
         raise ParameterError(
             f"cannot write to --out-dir {out_dir}: {exc.strerror or exc}"
         ) from exc
+
+
+def _commit(staging: str, out_dir: str, names: list):
+    """Move the staged files ``names`` into ``out_dir``, all or none.
+
+    Each existing target is first moved into ``staging/.old``, then each
+    staged file into its place. If a move fails, the moves done so far
+    are undone in reverse order, new files back to ``staging`` and old
+    ones back to ``out_dir``, before the error propagates. A process
+    killed between two moves cannot undo them: ``out_dir`` then holds
+    some new files, and the old ones it lacks are in ``staging/.old``.
+    """
+    old = os.path.join(staging, ".old")
+    os.mkdir(old)
+    moved = []
+
+    def move(source, target):
+        os.replace(source, target)
+        moved.append((source, target))
+
+    try:
+        for name in names:
+            if os.path.lexists(os.path.join(out_dir, name)):
+                move(os.path.join(out_dir, name), os.path.join(old, name))
+        for name in names:
+            move(os.path.join(staging, name), os.path.join(out_dir, name))
+    except BaseException:
+        for source, target in reversed(moved):
+            os.replace(target, source)
+        raise
 
 
 def _pipeline_config(args) -> PipelineConfig:

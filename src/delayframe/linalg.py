@@ -9,6 +9,10 @@ wider than it is tall (or the transpose), so it works on the short side:
 it forms the Gram matrix ``a @ a.T``, takes its leading eigenvectors by
 block subspace iteration (``eigh`` only of a block of rank + 4 Ritz
 vectors), and refines them with Rayleigh-Ritz passes on ``a`` itself.
+Each pass orthonormalizes its long product ``h.T @ u`` in place, by
+Gram-Schmidt applied twice (``_orthonormalize``), and rotates it into
+the right basis in place: that basis is the one factor that grows with
+the data, and a pass holds one copy of it.
 A Hankel window (``a[i, j] = x[i + j]``, recognized by its equal strides,
 such as a ``sliding_window_view``) is never formed: its three products
 come from the series, the Gram matrix by the displacement recurrence and
@@ -83,6 +87,10 @@ _EIG_BUDGET = 64
 _FOLD = 16
 _CHUNK = 32
 
+# Rows of the long right basis that _ritz_pass rotates, and
+# _largest_residual sums, at a time.
+_BLOCK_ROWS = 4096
+
 # pseudo_inverse treats singular values below this fraction of sigma_1 as
 # zero.
 _PINV_RTOL = 1e-12
@@ -146,10 +154,11 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     The factors come from the short side's Gram matrix: with ``h`` the
     wide orientation of the (centered) matrix (``a`` itself, or ``a.T``
     when ``a`` is tall), the leading eigenvectors of ``h @ h.T``
-    (``_leading_eigenpairs``) give the left basis ``u``, then
-    ``y = qr(h.T @ u)`` is an orthonormal trial basis for the
-    right vectors and the SVD of the small matrix ``h @ y`` gives the
-    singular values and rotates both bases (one Rayleigh-Ritz pass). When
+    (``_leading_eigenpairs``) give the left basis ``u``, then the product
+    ``h.T @ u``, orthonormalized in place (``_orthonormalize``), is the
+    trial basis ``y`` for the right vectors, and the SVD of the small
+    matrix ``h @ y`` gives the singular values and rotates both bases (one
+    Rayleigh-Ritz pass). When
     the rank-th Gram eigenvalue is at most ``1e-12`` times the largest,
     the squared spectrum cannot resolve the trailing pairs, and the pass
     repeats from the new ``u`` until every pair has
@@ -164,7 +173,8 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
 
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
-    the subspaces, so repeated runs agree entry for entry.
+    the subspaces, so repeated runs agree entry for entry. Both factors
+    are C-contiguous and are returned without a copy.
     """
     a = _as_2d(a, "matrix")
     tall = a.shape[0] > a.shape[1]
@@ -201,7 +211,7 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
         if u[k, j] < 0.0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
-    return SvdTriple(u=u, sigma=np.ldexp(s, exponent), v=v.copy())
+    return SvdTriple(u=u, sigma=np.ldexp(s, exponent), v=v)
 
 
 def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):
@@ -209,14 +219,17 @@ def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):
     through its Gram matrix and the maps ``q -> h.T @ q``, ``y -> h @ y``.
 
     The first pass starts from the Gram matrix's ``rank`` leading
-    eigenvectors (``_leading_eigenpairs``). When the ratio of its Ritz
+    eigenvectors q (``_leading_eigenpairs``), its trial basis the product
+    ``h.T @ q`` orthonormalized in place. When the ratio of its Ritz
     values theta_rank / theta_1 is above ``_GRAM_FLOOR``, that pass is
     returned. Below it, each pass's residual product ``h.T @ u`` is
     checked against ``eps * sigma_1 * sqrt(length)`` and, if it misses,
-    starts the next pass, up to ``_MAX_PASSES`` passes.
+    is orthonormalized in place to start the next pass, up to
+    ``_MAX_PASSES`` passes. Any orthonormal basis of the product's span
+    gives the same Ritz triple up to rounding.
     """
     theta, q = _leading_eigenpairs(gram, rank)
-    u, s, v = _ritz_pass(np.linalg.qr(h_t_times(q))[0], h_times)
+    u, s, v = _ritz_pass(_orthonormalize(h_t_times(q)), h_times)
     if theta[-1] > _GRAM_FLOOR * theta[0]:
         return u, s, v
     tol = np.finfo(float).eps * math.sqrt(length)
@@ -224,7 +237,7 @@ def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):
         p = h_t_times(u)
         if _largest_residual(p, s, v) <= tol * s[0]:
             break
-        u, s, v = _ritz_pass(np.linalg.qr(p)[0], h_times)
+        u, s, v = _ritz_pass(_orthonormalize(p), h_times)
     return u, s, v
 
 
@@ -265,20 +278,72 @@ def _leading_eigenpairs(gram, rank):
 def _ritz_pass(y, h_times):
     """One Rayleigh-Ritz pass on the orthonormal right trial basis ``y``.
 
-    The caller takes ``y = qr(p)[0]`` inline, so the first pass's product
-    ``p`` is freed before the pass allocates: holding it shifts the fit's
-    heap layout, which moved its peak RSS by about 3 MB with the length
-    of the working path.
+    ``y`` is overwritten with the new right vectors ``y @ wt.T`` and
+    returned as ``v``. Each row is rotated on its own, so the rotation
+    runs over blocks of ``_BLOCK_ROWS`` rows and no temporary has the
+    length of ``y``. With ``y`` the product ``h.T @ u`` orthonormalized
+    in place (``_orthonormalize``), a pass holds one long basis.
     """
     u, s, wt = np.linalg.svd(h_times(y), full_matrices=False)
-    return u, s, y @ wt.T
+    for start in range(0, len(y), _BLOCK_ROWS):
+        block = y[start:start + _BLOCK_ROWS]
+        block[...] = block @ wt.T
+    return u, s, y
+
+
+def _orthonormalize(p):
+    """Overwrite the tall, thin ``p`` with orthonormal columns spanning its
+    columns, and return it.
+
+    Classical Gram-Schmidt with one reorthogonalization, CGS2 ("twice is
+    enough": Giraud, Langou and Rozloznik, 2005), one column at a time.
+    Column j is scaled by a power of two so its largest magnitude lies in
+    [0.5, 1), so its squared norm neither overflows nor underflows; then
+    its projection on columns 0..j-1 is subtracted twice, and it is
+    scaled again and normalized. A column that is zero, or that the second
+    projection shrinks to half its length or less (Kahan and Parlett's
+    test), lies in the span of the earlier ones. It is replaced by the
+    coordinate vector of the row the earlier columns weigh least,
+    projected off them twice. So the columns come out orthonormal
+    whatever the rank of ``p``, as LAPACK's Q does, and without a
+    floating-point warning. The temporaries are a few vectors of ``p``'s
+    length.
+    """
+    for j in range(p.shape[1]):
+        w, q = p[:, j], p[:, :j]
+        if _scale(w):
+            w -= q @ (q.T @ w)
+            first = math.sqrt(float(w @ w))
+            w -= q @ (q.T @ w)
+            if math.sqrt(float(w @ w)) > 0.5 * first and _scale(w):
+                w /= math.sqrt(float(w @ w))
+                continue
+        w[:] = 0.0
+        w[np.argmin(np.einsum("ij,ij->i", q, q))] = 1.0
+        w -= q @ (q.T @ w)
+        w -= q @ (q.T @ w)
+        w /= math.sqrt(float(w @ w))
+    return p
+
+
+def _scale(w):
+    """Scale ``w`` in place by a power of two so its largest magnitude lies
+    in [0.5, 1), exactly; whether ``w`` is nonzero."""
+    top = max(float(w.max()), -float(w.min()))
+    if top > 0.0:
+        np.ldexp(w, -math.frexp(top)[1], out=w)
+    return top > 0.0
 
 
 def _largest_residual(p, s, v):
-    """``max_j |p_j - s_j v_j|``, with one temporary the size of ``v``."""
-    r = np.multiply(v, s)
-    np.subtract(p, r, out=r)
-    return math.sqrt(float(np.max(np.einsum("ij,ij->j", r, r))))
+    """``max_j |p_j - s_j v_j|``, summed over blocks of ``_BLOCK_ROWS``
+    rows, so no temporary has the length of ``v``."""
+    squares = np.zeros(len(s))
+    for start in range(0, len(v), _BLOCK_ROWS):
+        r = np.multiply(v[start:start + _BLOCK_ROWS], s)
+        np.subtract(p[start:start + _BLOCK_ROWS], r, out=r)
+        squares += np.einsum("ij,ij->j", r, r)
+    return math.sqrt(float(np.max(squares)))
 
 
 def _matrix_products(a, center, tall):

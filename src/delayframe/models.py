@@ -55,6 +55,9 @@ __all__ = [
 # sigma_1 means the data cannot support the state space.
 _RANK_TOL = 1e-12
 
+# Columns of V per block of _assemble's residual.
+_COLUMNS = 4096
+
 # Transitions per block of reconstruct's rollout: A^1..A^L are formed once
 # per call, and each block is one row of the rollout's product.
 _BLOCK = 64
@@ -224,25 +227,32 @@ def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
     column norm of the prediction error unchanged.
     """
     state_dim = config.state_dim
-    predicted = ext_discrete[:, :state_dim].copy() @ v1_full[:state_dim]
+    a = ext_discrete[:, :state_dim].copy()
     if config.forcing:
         sigma_r = float(svd.sigma[config.rank - 1])
         if sigma_r <= 0.0:
             raise DegenerateRankError(
                 "forcing direction has zero singular value"
             )
-        predicted += np.outer(
-            ext_discrete[:, state_dim] / sigma_r, sigma_r * v1_full[-1]
-        )
-    # The error overwrites the prediction and is squared in place: the
-    # operations of np.linalg.norm(axis=0), without its two temporaries
-    # the size of V.
-    error = np.square(np.subtract(v2_state, predicted, out=predicted), out=predicted)
-    residual = float(np.max(np.sqrt(np.add.reduce(error, axis=0))))
+        b = ext_discrete[:, state_dim] / sigma_r
+    # The error of _COLUMNS columns at a time overwrites their prediction
+    # and is squared in place: the operations of np.linalg.norm(axis=0),
+    # with no temporary the length of V.
+    residual = 0.0
+    for start in range(0, v2_state.shape[1], _COLUMNS):
+        block = slice(start, start + _COLUMNS)
+        error = a @ v1_full[:state_dim, block]
+        if config.forcing:
+            error += np.outer(b, sigma_r * v1_full[-1, block])
+        np.square(np.subtract(v2_state[:, block], error, out=error), out=error)
+        residual = max(residual, float(np.max(np.sqrt(np.add.reduce(error, axis=0)))))
     signs = _band_orientation(ext_discrete)
     row, col = signs[:state_dim, None], signs[None, :]
     ext_discrete, ext_continuous = row * ext_discrete * col, row * ext_continuous * col
     a_continuous = ext_continuous[:, :state_dim].copy()
+    # fit owns svd, and the regression's rows are copies: flip in place.
+    np.multiply(svd.u, signs, out=svd.u)
+    np.multiply(svd.v, signs, out=svd.v)
     b_discrete = b_continuous = None
     if config.forcing:
         # The regression sees the unit-norm row v_r; the stored vectors
@@ -255,7 +265,7 @@ def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
         a_continuous=a_continuous,
         b_discrete=b_discrete,
         b_continuous=b_continuous,
-        basis=SvdTriple(u=svd.u * signs, sigma=svd.sigma, v=svd.v * signs),
+        basis=svd,
         spectrum=eigen_nonsymmetric(a_continuous),
         config=config,
         dt=dt,

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -490,6 +491,53 @@ def test_failed_write_leaves_no_partial_artifacts(tmp_path, capsys):
     assert os.listdir(out / "plotdata.csv") == []
     assert err.startswith("error:") and "plotdata.csv" in err
     assert "Traceback" not in err
+
+
+def _snapshot(path):
+    """Every file under ``path`` by relative name, with its bytes; None if
+    ``path`` does not exist."""
+    if not path.exists():
+        return None
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+# A fresh --out-dir takes the 4 artifacts' moves into place; the populated
+# one holds 3 of them and another file, so 3 old files move out first.
+@pytest.mark.parametrize("populated, index",
+                         [(False, i) for i in range(4)]
+                         + [(True, i) for i in range(7)])
+def test_failed_move_leaves_out_dir_as_it_was(tmp_path, capsys, monkeypatch,
+                                              populated, index):
+    out = tmp_path / "o"
+    args = ["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+            "--no-forcing", "--out-dir", str(out)]
+    if populated:
+        assert main(["fit", "--input", "two_tone", "--delays", "41", "--rank",
+                     "3", "--out-dir", str(out)]) == 0
+        (out / "spectrum.json").unlink()
+        (out / "notes.txt").write_text("kept\n")
+    before = _snapshot(out)
+    calls = []
+    replace = os.replace
+
+    def failing(source, target):
+        calls.append(target)
+        if len(calls) == index + 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "No space left on device" in err
+    assert _snapshot(out) == before
+    # The moves before the failed one were undone, one move each.
+    assert len(calls) == 2 * index + 1
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(args) == 0
+    assert len(_snapshot(out)) == 4 + populated
 
 
 def test_rewrite_replaces_every_artifact(tmp_path):

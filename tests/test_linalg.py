@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +226,83 @@ def test_thin_svd_returns_the_last_pass_on_a_near_degenerate_pair(rng,
     assert np.all(svd.sigma <= sigma[:3] + 1e-12 * sigma[0])
     residual = np.linalg.norm(a.T @ svd.u - svd.v * svd.sigma, axis=0)
     assert residual[2] > np.finfo(float).eps * np.sqrt(900)
+
+
+def test_thin_svd_v_is_orthonormal_past_the_rank(dense_svd):
+    # Three tones make a rank-6 window; rank 7 asks for one pair more. The
+    # seventh column of each Ritz product is rounding noise, yet v comes
+    # back orthonormal and C-contiguous.
+    window = build_hankel(_three_tones(1040, 0.0), 41).matrix
+    for a in (window, window.T):
+        svd = thin_svd(a, 7)
+        assert svd.v.flags.c_contiguous
+        np.testing.assert_allclose(svd.v.T @ svd.v, np.eye(7), atol=1e-12)
+        np.testing.assert_allclose(svd.sigma[:6], dense_svd(a, 6).sigma,
+                                   rtol=1e-10)
+        assert svd.sigma[6] <= 1e-12 * svd.sigma[0]
+
+
+def test_thin_svd_peak_memory_stays_near_its_v():
+    # A centered 41 x 49,961 window at rank 5: the Ritz product is
+    # orthonormalized and rotated in place, so it is the one long array,
+    # and it becomes v (1.67 v in all, with the series' copies). LAPACK's
+    # QR of the product held its working copy and Q, and the rotation a
+    # second basis (3.41 v).
+    values = np.random.default_rng(7).standard_normal(50_001)
+    window = build_hankel(TimeSeries(t0=0.0, dt=1.0, values=values), 41).matrix
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        svd = thin_svd(window, 5, center=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert svd.v.shape == (49_961, 5)
+    assert peak < 2 * svd.v.nbytes
+
+
+def _columns(draw, gen, n, k):
+    """A tall n x k matrix whose columns are each kept, zeroed, a copy of
+    an earlier one, or scaled by 1e-300 or 1e200; its random part has
+    rank ``r <= k``."""
+    r = draw(st.integers(min_value=1, max_value=k))
+    p = gen.standard_normal((n, r)) @ gen.standard_normal((r, k))
+    for j in range(k):
+        kind = draw(st.sampled_from(["keep", "zero", "copy", "tiny", "huge"]))
+        if kind == "zero":
+            p[:, j] = 0.0
+        elif kind == "copy":
+            p[:, j] = p[:, draw(st.integers(min_value=0, max_value=j))]
+        elif kind != "keep":
+            p[:, j] *= 1e-300 if kind == "tiny" else 1e200
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=300),
+       st.data())
+def test_orthonormalize_in_place_whatever_the_rank(seed, k, extra, data):
+    # Zero, duplicated, 1e-300 and 1e200 columns and exactly rank-deficient
+    # products: the operand itself comes back, orthonormal to eps sqrt(n),
+    # spanning every nonzero input column, and without a warning.
+    n = k + extra
+    p = _columns(data.draw, np.random.default_rng(seed), n, k)
+    before = p.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = linalg._orthonormalize(p)
+    assert q is p
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(q.T @ q - np.eye(k))) <= 4.0 * eps * np.sqrt(n)
+    for c in before.T:
+        top = np.max(np.abs(c))
+        if top > 0.0:
+            c = c / top
+            assert np.linalg.norm(c - q @ (q.T @ c)) <= 1e-10 * np.linalg.norm(c)
 
 
 def _spd(seed, m, spectrum):

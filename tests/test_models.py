@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayframe import diagnostics, models, systems
+from delayframe import diagnostics, linalg, models, systems
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DegenerateRankError, ParameterError
 from delayframe.linalg import SvdTriple, pseudo_inverse
@@ -290,6 +290,25 @@ def test_central_scheme_removes_damping_bias(two_tone):
     assert np.max(np.abs(ctr.spectrum.eigenvalues.real)) < 1e-6
     assert (diagnostics.antisymmetry_score(ctr.a_continuous)
             <= diagnostics.antisymmetry_score(fwd.a_continuous) + 1e-6)
+
+
+@pytest.mark.parametrize("method", ["havok", "shavok"])
+@pytest.mark.parametrize("forcing", [False, True])
+def test_fit_does_not_depend_on_its_block_sizes(monkeypatch, method, forcing):
+    # The residual runs over blocks of columns, and thin_svd's rotation
+    # and residual test over blocks of rows; blocks of 7, with a ragged
+    # last one, give the model of the default blocks. The 1e-6 overtone
+    # puts sigma_4 below the Gram floor, so the Ritz passes repeat.
+    t = 0.01 * np.arange(10_000)
+    x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + 1e-6 * np.sin(2.0 * t))
+    cfg = FitConfig(delays=41, rank=4, method=method, forcing=forcing)
+    base = fit(x, cfg)
+    monkeypatch.setattr(models, "_COLUMNS", 7)
+    monkeypatch.setattr(linalg, "_BLOCK_ROWS", 7)
+    small = fit(x, cfg)
+    assert small.residual == pytest.approx(base.residual, rel=1e-12)
+    np.testing.assert_allclose(small.basis.v, base.basis.v, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(small.a_continuous, base.a_continuous, rtol=1e-12)
 
 
 def test_residual_small_on_clean_signal(two_tone_models):
