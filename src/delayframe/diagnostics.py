@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_positive
+from .errors import NumericalError, ParameterError
 from .linalg import Spectrum, as_matrix
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "tridiagonality_score",
     "structure_report",
     "spectrum_distance",
-    "sv_decay_report",
 ]
 
 
@@ -128,24 +127,3 @@ def _eigenvalues_of(s, name):
     if not np.all(np.isfinite(w)):
         raise ParameterError(f"spectrum {name} contains non-finite eigenvalues")
     return w
-
-
-def sv_decay_report(sigma, eps: float) -> int:
-    """Smallest r with sigma_{r+1} <= eps * sigma_1 (length if none).
-
-    Low-rank sufficiency check: a fast decay means a small r captures the
-    matrix to relative accuracy eps.
-    """
-    s = np.asarray(sigma, dtype=float)
-    if s.ndim != 1 or s.shape[0] == 0:
-        raise ParameterError(f"sigma must be a nonempty 1-d list, got shape {s.shape}")
-    check_positive("eps", eps)
-    if s[0] <= 0.0:
-        raise ParameterError("leading singular value must be positive")
-    if np.any(np.diff(s) > 0.0):
-        raise ParameterError("singular values must be nonincreasing")
-    cutoff = eps * s[0]
-    below = np.nonzero(s <= cutoff)[0]
-    if below.size == 0:
-        return int(s.shape[0])
-    return int(below[0])

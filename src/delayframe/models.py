@@ -3,12 +3,13 @@
 One pipeline, ``fit``, serves both methods of the paper; they differ only
 in where the regression's two bases come from. The single-decomposition
 method (``havok``) takes one SVD of the centered Hankel matrix and
-regresses time-shifted rows of V^T against each other; its regressors are
-one basis expressed at two times, so the fitted matrix picks up a
-systematic symmetric distortion. The split method (``shavok``) decomposes
-the two time-shifted column halves separately, giving each side of the
-regression its own orthonormal basis; the result is markedly closer to
-the skew-symmetric tridiagonal generator the underlying geometry predicts.
+regresses the columns of V (one row per window) at window k + 1 on
+those at window k; its regressors are one basis expressed at two times,
+so the fitted matrix picks up a systematic symmetric distortion. The
+split method (``shavok``) decomposes the two time-shifted column halves
+separately, giving each side of the regression its own orthonormal basis;
+the result is markedly closer to the skew-symmetric tridiagonal generator
+the underlying geometry predicts.
 
 Both methods support an optional scalar forcing term: the state keeps the
 first r - 1 delay coordinates and the r-th acts as an exogenous input,
@@ -55,8 +56,8 @@ __all__ = [
 # sigma_1 means the data cannot support the state space.
 _RANK_TOL = 1e-12
 
-# Columns of V per block of _assemble's residual.
-_COLUMNS = 4096
+# Rows of V per block of _assemble's residual.
+_ROWS = 4096
 
 # Transitions per block of reconstruct's rollout: A^1..A^L are formed once
 # per call, and each block is one row of the rollout's product.
@@ -186,76 +187,77 @@ def _band_orientation(a_ext):
     return s
 
 
-def _regress(v1_full, v2_state, dt, state_dim, scheme):
-    """Extended system matrix [A | B] from shifted singular vector rows.
+def _regress(v1, v2, dt, state_dim, scheme):
+    """Extended system matrix [A | B] from shifted singular vectors.
 
-    v1_full has all rank rows over columns 1..n-1; v2_state the state rows
-    over columns 2..n. Forward differencing fits the discrete map
+    v1 holds all rank columns of V over windows 1..n-1; v2 the state
+    columns over windows 2..n. Forward differencing fits the discrete map
     directly; central differencing fits the derivative (v2 - v1)/dt
-    against state midpoints (the forcing row, which has no second-basis
+    against state midpoints (the forcing column, which has no second-basis
     counterpart in the split method, enters at the left endpoint). Either
     way both the discrete and continuous extended matrices are returned,
     related exactly by a_ext_discrete = I_pad + dt * a_ext_continuous.
 
     Each least-squares solution goes through the rank x rank normal
-    matrix, ``(y @ v.T) @ pinv(v @ v.T)``, which equals ``y @ pinv(v)``
-    and takes no SVD of the long rows. Squaring makes pseudo_inverse's
-    1e-12 cutoff act on sigma(v)^2; the rows of v1 are nearly
+    matrix, ``(y.T @ v) @ pinv(v.T @ v)``, which equals ``y.T @ pinv(v.T)``
+    and takes no SVD of the long columns. Squaring makes pseudo_inverse's
+    1e-12 cutoff act on sigma(v)^2; the columns of v1 are nearly
     orthonormal (for the split method, exactly), so cond(v) is about 1
     and no direction comes near the cutoff.
     """
-    rank = v1_full.shape[0]
+    rank = v1.shape[1]
     pad = np.eye(state_dim, rank)
     if scheme == "forward":
-        ext_discrete = (v2_state @ v1_full.T) @ pseudo_inverse(v1_full @ v1_full.T)
+        ext_discrete = (v2.T @ v1) @ pseudo_inverse(v1.T @ v1)
         ext_continuous = (ext_discrete - pad) / dt
     else:
-        deriv = (v2_state - v1_full[:state_dim]) / dt
-        mid = v1_full.copy()
-        mid[:state_dim] = 0.5 * (v1_full[:state_dim] + v2_state)
-        ext_continuous = (deriv @ mid.T) @ pseudo_inverse(mid @ mid.T)
+        deriv = (v2 - v1[:, :state_dim]) / dt
+        mid = v1.copy()
+        mid[:, :state_dim] = 0.5 * (v1[:, :state_dim] + v2)
+        ext_continuous = (deriv.T @ mid) @ pseudo_inverse(mid.T @ mid)
         ext_discrete = pad + dt * ext_continuous
     return ext_discrete, ext_continuous
 
 
-def _assemble(ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0,
-              speed, config):
+def _assemble(ext_discrete, ext_continuous, svd, v1, v2, dt, t0, speed,
+              config):
     """Band-orient the regression's extended matrices and build the model.
 
-    The residual is taken in the regression's own frame. The orientation
-    then multiplies rows and columns by exact signs, which leaves every
-    column norm of the prediction error unchanged.
+    The residual is taken in the regression's own frame: the prediction
+    of each window is one product with the extended matrix, [A | B] @ v1^T,
+    whose forcing column already pairs with the unit-norm v_r. The
+    orientation then multiplies rows and columns by exact signs, which
+    leaves every window's prediction error norm unchanged.
     """
     state_dim = config.state_dim
-    a = ext_discrete[:, :state_dim].copy()
     if config.forcing:
         sigma_r = float(svd.sigma[config.rank - 1])
         if sigma_r <= 0.0:
             raise DegenerateRankError(
                 "forcing direction has zero singular value"
             )
-        b = ext_discrete[:, state_dim] / sigma_r
-    # The error of _COLUMNS columns at a time overwrites their prediction
-    # and is squared in place: the operations of np.linalg.norm(axis=0),
-    # with no temporary the length of V.
+    # The error of _ROWS windows at a time overwrites their prediction and
+    # is squared in place: the operations of np.linalg.norm(axis=0), with
+    # no temporary the length of V. The prediction is formed transposed,
+    # one column per window, because summing each window's few squares
+    # along a row took three times as long.
     residual = 0.0
-    for start in range(0, v2_state.shape[1], _COLUMNS):
-        block = slice(start, start + _COLUMNS)
-        error = a @ v1_full[:state_dim, block]
-        if config.forcing:
-            error += np.outer(b, sigma_r * v1_full[-1, block])
-        np.square(np.subtract(v2_state[:, block], error, out=error), out=error)
+    for start in range(0, v2.shape[0], _ROWS):
+        block = slice(start, start + _ROWS)
+        error = ext_discrete @ v1[block].T
+        np.square(np.subtract(v2[block].T, error, out=error), out=error)
         residual = max(residual, float(np.max(np.sqrt(np.add.reduce(error, axis=0)))))
     signs = _band_orientation(ext_discrete)
     row, col = signs[:state_dim, None], signs[None, :]
     ext_discrete, ext_continuous = row * ext_discrete * col, row * ext_continuous * col
     a_continuous = ext_continuous[:, :state_dim].copy()
-    # fit owns svd, and the regression's rows are copies: flip in place.
+    # fit owns svd, and v1 and v2 may be views of svd.v: flip in place,
+    # after the residual has read them.
     np.multiply(svd.u, signs, out=svd.u)
     np.multiply(svd.v, signs, out=svd.v)
     b_discrete = b_continuous = None
     if config.forcing:
-        # The regression sees the unit-norm row v_r; the stored vectors
+        # The regression sees the unit-norm column v_r; the stored vectors
         # are rescaled so that b pairs with the physical-amplitude
         # forcing signal sigma_r * v_r.
         b_discrete = ext_discrete[:, state_dim] / sigma_r
@@ -283,12 +285,14 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     window is a view of the series, and ``thin_svd`` takes its products
     with the (centered) window from the series itself, so neither the
     Hankel matrix nor its centered copy is ever formed. The regression
-    maps the reduced coordinates of columns 1..n-1 (all rank rows) to the
-    state rows of columns 2..n; with forcing, the last column of its
-    solution is the forcing coupling. ``config.method`` picks only where
-    the two bases come from: ``havok`` reads one SVD's V^T at two shifts,
-    ``shavok`` takes one SVD of each shifted column half (ranks r and
-    state_dim), the second sign-aligned to the first.
+    maps the reduced coordinates of windows 1..n-1 (all rank columns of V)
+    to the state columns of windows 2..n; with forcing, the last column of
+    its solution is the forcing coupling. ``config.method`` picks only
+    where the two bases come from: ``havok`` reads one SVD's V at two
+    shifts, ``shavok`` takes one SVD of each shifted column half (ranks r
+    and state_dim), the second sign-aligned to the first. Either way the
+    regression reads the SVDs' own V through views; no copy of a basis
+    as long as the series is made.
     """
     _check_arguments(x, config)
     dt = x.dt
@@ -300,27 +304,24 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     state_dim = config.state_dim
     if config.method == "havok":
         svd = _guarded_svd(embedding.matrix, config.rank, state_dim, center)
-        vt = svd.v.T.copy()
-        v1_full, v2_state = vt[:, :-1], vt[:state_dim, 1:]
+        v1, v2 = svd.v[:-1], svd.v[1:, :state_dim]
     else:
         first, second = split_shift(embedding)
         svd = _guarded_svd(first.matrix, config.rank, state_dim, center)
         second_svd = _guarded_svd(second.matrix, state_dim, state_dim, center)
-        v1_full = svd.v.T.copy()
-        v2_state = second_svd.v.T.copy()
+        v1, v2 = svd.v, second_svd.v
         # The halves are nearly identical, so matched singular pairs should
-        # point the same way; realign the second basis where they do not.
+        # point the same way; realign the second basis, which fit owns,
+        # where they do not.
         for j in range(state_dim):
             if float(svd.u[:, j] @ second_svd.u[:, j]) < 0.0:
-                v2_state[j] = -v2_state[j]
-        del second_svd  # free its V early: v2_state is all the fit needs of it
+                np.negative(v2[:, j], out=v2[:, j])
     ext_discrete, ext_continuous = _regress(
-        v1_full, v2_state, dt, state_dim, config.derivative_scheme
+        v1, v2, dt, state_dim, config.derivative_scheme
     )
     t0 = x.t0 + 0.5 * (config.delays - 1) * dt
     return _assemble(
-        ext_discrete, ext_continuous, svd, v1_full, v2_state, dt, t0, speed,
-        config,
+        ext_discrete, ext_continuous, svd, v1, v2, dt, t0, speed, config,
     )
 
 
@@ -437,8 +438,8 @@ def forcing_signal(model: DelayModel) -> TimeSeries:
     """The forcing time series the model was fit against.
 
     This is the r-th delay coordinate at physical amplitude, sigma_r times
-    the unit-norm singular vector row, sampled at the model's dt and
-    aligned with the fitted columns (value k belongs to column k).
+    the unit-norm singular vector (column r of V), sampled at the model's
+    dt and aligned with the fitted columns (value k belongs to column k).
     """
     check_instance(model, DelayModel)
     if model.b_discrete is None:

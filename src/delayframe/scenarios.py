@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics, models, preprocess, systems
 from .embedding import TimeSeries, build_hankel, center_index
-from .errors import ParameterError
+from .errors import DelayFrameError, ParameterError
 from .geometry import analytic_curvatures_gram, curvatures_from_model, derivative_stack
 
 __all__ = [
@@ -71,7 +71,8 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
                 f"input too short for stride {stride}: {len(values)} samples"
             )
         sub = TimeSeries(t0=series.t0, dt=series.dt * stride, values=values)
-        dt_rows.append({"stride": stride, **_structure_row(sub, cfg)})
+        row = _structure_row(sub, cfg, f"stride {stride} (dt {sub.dt:g})")
+        dt_rows.append({"stride": stride, **row})
     col_rows = []
     sub = TimeSeries(t0=series.t0, dt=series.dt * 2, values=series.values[::2])
     for columns in (1001, 2001, 5001, 10001):
@@ -81,13 +82,20 @@ def run_sweep(series: TimeSeries, delays: int, rank: int, method: str,
                 f"column sweep needs {need} samples at stride 2, got {len(sub)}"
             )
         window = TimeSeries(t0=sub.t0, dt=sub.dt, values=sub.values[:need])
-        col_rows.append(_structure_row(window, cfg))
+        col_rows.append(_structure_row(window, cfg, f"{columns} columns"))
     return {"dt_sweep": dt_rows, "column_sweep": col_rows}
 
 
-def _structure_row(x: TimeSeries, cfg: models.FitConfig) -> dict:
-    """Fit ``x`` and score the generator's structure: one sweep row."""
-    a = models.fit(x, cfg).a_continuous
+def _structure_row(x: TimeSeries, cfg: models.FitConfig, label: str) -> dict:
+    """Fit ``x`` and score the generator's structure: one sweep row.
+
+    A failed fit re-raises its own error class, so the exit code is kept,
+    with ``label`` naming the grid row.
+    """
+    try:
+        a = models.fit(x, cfg).a_continuous
+    except DelayFrameError as exc:
+        raise exc.__class__(f"sweep fit at {label} failed: {exc}") from exc
     return {
         "dt": x.dt,
         "columns": len(x) - cfg.delays + 1,

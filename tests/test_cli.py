@@ -749,6 +749,18 @@ def test_sweep_input_too_short(tmp_path, capsys):
         "error: input too short for stride 20: 1 samples\n")
 
 
+def test_sweep_error_names_its_grid_row(tmp_path, capsys):
+    # Two tones support rank 4, so the first of the eight fits fails; the
+    # message names that row and the exit code is the fit's own.
+    code = main(["sweep", "--input", "two_tone", "--delays", "41",
+                 "--rank", "41", "--out-dir", str(tmp_path / "o")])
+    assert code == 4
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.startswith(
+        "error: sweep fit at stride 20 (dt 0.02) failed: numerical rank is "
+        "below the requested state dimension 40: ")
+
+
 def test_reproduce_curvature(tmp_path, capsys):
     out = tmp_path / "rep"
     code = main(["reproduce", "--scenario", "curvature",

@@ -7,7 +7,6 @@ from delayframe.diagnostics import (
     antisymmetry_score,
     spectrum_distance,
     structure_report,
-    sv_decay_report,
     tridiagonality_score,
 )
 from delayframe.errors import NumericalError, ParameterError
@@ -116,27 +115,3 @@ def test_spectrum_distance_permutation_invariant(seed):
 def test_spectrum_distance_size_mismatch():
     with pytest.raises(ParameterError):
         spectrum_distance(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
-
-
-def test_sv_decay_report():
-    sigma = [1.0, 0.1, 0.01, 1e-9]
-    assert sv_decay_report(sigma, 1e-6) == 3
-    assert sv_decay_report(sigma, 1e-10) == 4
-    assert sv_decay_report(sigma, 0.5) == 1
-    with pytest.raises(ParameterError):
-        sv_decay_report([1.0, 2.0], 1e-6)
-    with pytest.raises(ParameterError):
-        sv_decay_report([0.0, 0.0], 1e-6)
-    with pytest.raises(ParameterError):
-        sv_decay_report(sigma, 0.0)
-
-
-def test_sv_decay_on_two_tone(two_tone_models):
-    # Two tones give four modes, but the centered trajectory is nearly
-    # planar per pair, so the pairs sit at very different scales and the
-    # detected rank depends strongly on the threshold.
-    sigma = list(two_tone_models["havok"].basis.sigma)
-    sigma.append(1e-16 * sigma[0])
-    assert sv_decay_report(sigma, 1e-8) == 4
-    assert sv_decay_report(sigma, 1e-6) == 3
-    assert sv_decay_report(sigma, 1e-3) == 2

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from delayframe import diagnostics, embedding, errors, geometry, linalg, models
+from delayframe import embedding, errors, geometry, linalg, models
 from delayframe import preprocess, systems
 from delayframe.errors import (
     DataError,
@@ -170,11 +170,6 @@ RULES = [
         lambda: geometry.curvatures_from_model(np.eye(2), -1.0),
         ParameterError, "speed must be positive and finite, got -1.0",
         id="pos-curvatures_from_model",
-    ),
-    pytest.param(
-        lambda: diagnostics.sv_decay_report([1.0, 0.5], math.nan),
-        ParameterError, "eps must be positive and finite, got nan",
-        id="pos-sv_decay_report",
     ),
     pytest.param(lambda: preprocess.resample(_SERIES, -0.1), ParameterError,
                  "dt_new must be positive and finite, got -0.1", id="pos-resample"),

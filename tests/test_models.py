@@ -227,6 +227,29 @@ def test_fit_holds_no_copy_of_the_hankel_matrix(method, overtone):
         assert m.basis.sigma[3] / m.basis.sigma[0] < 1e-6
 
 
+@pytest.mark.parametrize("method, bound", [("havok", 1.9), ("shavok", 3.0)])
+def test_fit_peak_memory_stays_near_its_v(method, bound):
+    # A centered 41 x 50,001 window at rank 5: the regression and the
+    # residual read thin_svd's own V through views, so the peak is that of
+    # the factorizations (1.67 V for havok, 2.46 V for shavok, whose first
+    # V is alive while the second half is factorized). Transposed copies of
+    # each V took 2.15 V and 3.61 V.
+    values = np.random.default_rng(7).standard_normal(50_041)
+    x = TimeSeries(t0=0.0, dt=1.0, values=values)
+    cfg = FitConfig(delays=41, rank=5, method=method)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        m = fit(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert m.basis.v.shape[1] == 5
+    assert peak < bound * m.basis.v.nbytes
+
+
 @pytest.mark.parametrize("method, scheme", [
     ("havok", "forward"), ("havok", "central"), ("shavok", "forward"),
 ])
@@ -234,26 +257,33 @@ def test_regress_through_normal_matrix_matches_svd_pseudo_inverse(
         series_cache, monkeypatch, method, scheme):
     # The regression solves through the rank x rank normal matrix; on the
     # fit's own bases that agrees with the SVD pseudo-inverse of the long
-    # rows to 1e-13, norm-wise.
-    inputs = []
-    regress = models._regress
+    # columns to 1e-13, norm-wise. Its inputs are views of the SVDs' V.
+    inputs, svds = [], []
+    regress, factorize = models._regress, models.thin_svd
 
     def recording(*args):
         inputs.append(args)
         return regress(*args)
 
+    def recording_svd(*args, **kwargs):
+        svds.append(factorize(*args, **kwargs))
+        return svds[-1]
+
     monkeypatch.setattr(models, "_regress", recording)
+    monkeypatch.setattr(models, "thin_svd", recording_svd)
     fit(series_cache("lorenz_short"),
         FitConfig(delays=41, rank=5, method=method, derivative_scheme=scheme))
     (v1, v2, dt, state_dim, _), = inputs
+    assert np.shares_memory(v1, svds[0].v)
+    assert np.shares_memory(v2, svds[-1].v)
     ext_discrete, ext_continuous = regress(*inputs[0])
     if scheme == "forward":
-        got, want = ext_discrete, v2 @ pseudo_inverse(v1)
+        got, want = ext_discrete, v2.T @ pseudo_inverse(v1.T)
     else:
         mid = v1.copy()
-        mid[:state_dim] = 0.5 * (v1[:state_dim] + v2)
+        mid[:, :state_dim] = 0.5 * (v1[:, :state_dim] + v2)
         got = ext_continuous
-        want = ((v2 - v1[:state_dim]) / dt) @ pseudo_inverse(mid)
+        want = ((v2 - v1[:, :state_dim]) / dt).T @ pseudo_inverse(mid.T)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -295,15 +325,15 @@ def test_central_scheme_removes_damping_bias(two_tone):
 @pytest.mark.parametrize("method", ["havok", "shavok"])
 @pytest.mark.parametrize("forcing", [False, True])
 def test_fit_does_not_depend_on_its_block_sizes(monkeypatch, method, forcing):
-    # The residual runs over blocks of columns, and thin_svd's rotation
-    # and residual test over blocks of rows; blocks of 7, with a ragged
-    # last one, give the model of the default blocks. The 1e-6 overtone
-    # puts sigma_4 below the Gram floor, so the Ritz passes repeat.
+    # The fit's residual, and thin_svd's rotation and residual test, run
+    # over blocks of rows of V; blocks of 7, with a ragged last one, give
+    # the model of the default blocks. The 1e-6 overtone puts sigma_4
+    # below the Gram floor, so the Ritz passes repeat.
     t = 0.01 * np.arange(10_000)
     x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + 1e-6 * np.sin(2.0 * t))
     cfg = FitConfig(delays=41, rank=4, method=method, forcing=forcing)
     base = fit(x, cfg)
-    monkeypatch.setattr(models, "_COLUMNS", 7)
+    monkeypatch.setattr(models, "_ROWS", 7)
     monkeypatch.setattr(linalg, "_BLOCK_ROWS", 7)
     small = fit(x, cfg)
     assert small.residual == pytest.approx(base.residual, rel=1e-12)
