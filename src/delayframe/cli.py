@@ -55,22 +55,24 @@ class PipelineConfig:
 
 
 # Rows of a CSV table formatted at a time; a block's floats and text are
-# the only objects alive beside the finished blocks.
+# the only objects the table adds while it is written.
 _ROWS_PER_BLOCK = 4096
 
 
-def _float_table(head: str, t0: float, dt: float, columns) -> str:
-    """``head``, then one CSV row per sample: its time, then ``columns``.
+def _float_table(head: str, t0: float, dt: float, columns):
+    """Yield ``head``, then the CSV rows of each sample: its time, then
+    ``columns``.
 
     Row k starts with ``t0 + k * dt`` and continues with row k of each
     array in ``columns`` (1-D or 2-D, all of the same length). Each cell
     is the ``repr`` of a float, so the text reads back to the same bits.
 
-    Rows are formatted in blocks of ``_ROWS_PER_BLOCK``, each by one
+    Rows come in blocks of ``_ROWS_PER_BLOCK``, each one str made by one
     ``%r`` format of the block's floats, so no per-row list or string is
-    made; the peak is the finished blocks plus their join.
+    made; a caller that writes each block and drops it holds one block at
+    a time, whatever the row count.
     """
-    blocks = [head]
+    yield head
     n = len(columns[0])
     for start in range(0, n, _ROWS_PER_BLOCK):
         stop = min(start + _ROWS_PER_BLOCK, n)
@@ -78,8 +80,12 @@ def _float_table(head: str, t0: float, dt: float, columns) -> str:
             [t0 + np.arange(start, stop) * dt] + [c[start:stop] for c in columns]
         )
         row = ",".join(["%r"] * block.shape[1]) + "\n"
-        blocks.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(blocks)
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
+def _series_table(x: TimeSeries):
+    """The chunks of ``format_series_csv(x)``."""
+    return _float_table("time,value\n", x.t0, x.dt, [x.values])
 
 
 def format_series_csv(x: TimeSeries) -> str:
@@ -88,9 +94,10 @@ def format_series_csv(x: TimeSeries) -> str:
     The values read back to the same bits. The time column is ``t0 + k *
     dt``, so ``t0`` reads back equal in value (a ``-0.0`` becomes ``0.0``)
     and ``dt`` as the mean step between rows, which differs from it by
-    the rounding of the times.
+    the rounding of the times. ``simulate`` writes the same chunks
+    straight to ``series.csv``.
     """
-    return _float_table("time,value\n", x.t0, x.dt, [x.values])
+    return "".join(_series_table(x))
 
 
 def _is_header(line: str) -> bool:
@@ -298,17 +305,17 @@ def _report_payload(model: models.DelayModel, echo: dict) -> dict:
     return payload
 
 
-def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
-    """The reduced delay coordinates beside the model's rollout, as CSV.
+def _plotdata_csv(model: models.DelayModel, echo: dict):
+    """Yield the reduced delay coordinates beside the model's rollout, as
+    CSV chunks.
 
     A ``# config:`` line and a header precede one row per column of the
     delay window: ``time``, ``v1`` … ``v{rank}``, ``forcing`` when the fit
     is forced, and ``recon_v1``, the first state coordinate of the model
     rolled forward from the first row.
 
-    The result is one str, because ``run_pipeline`` returns every
-    artifact as text; writing the blocks straight to the staged file
-    needs the artifact builders to yield chunks instead.
+    The forcing and the rollout are computed when the first chunk is
+    asked for; the rows then come one ``_float_table`` block at a time.
     """
     v = model.basis.v
     p = model.state_dim
@@ -325,11 +332,19 @@ def _plotdata_csv(model: models.DelayModel, echo: dict) -> str:
         + ",".join(header) + "\n"
     )
     columns = [v, forcing, recon] if forced else [v, recon]
-    return _float_table(head, model.t0, model.dt, columns)
+    yield from _float_table(head, model.t0, model.dt, columns)
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _json_artifact(payload):
+    """The artifact builder that yields ``payload(model, echo)`` as one
+    JSON text."""
+    def build(model: models.DelayModel, echo: dict):
+        yield _dump_json(payload(model, echo))
+    return build
 
 
 # --------------------------------------------------------------------------
@@ -346,10 +361,13 @@ def _prepared_series(cfg: PipelineConfig):
     return series, obs
 
 
+# Each builder takes (model, echo) and returns a generator of the
+# artifact's str chunks; nothing is computed before the first chunk is
+# asked for.
 _ARTIFACTS = {
-    "model.json": lambda model, echo: _dump_json(_model_payload(model, echo)),
-    "spectrum.json": lambda model, echo: _dump_json(_spectrum_payload(model, echo)),
-    "report.json": lambda model, echo: _dump_json(_report_payload(model, echo)),
+    "model.json": _json_artifact(_model_payload),
+    "spectrum.json": _json_artifact(_spectrum_payload),
+    "report.json": _json_artifact(_report_payload),
     "plotdata.csv": _plotdata_csv,
 }
 
@@ -361,13 +379,9 @@ _COMMAND_ARTIFACTS = {
 }
 
 
-def run_pipeline(cfg: PipelineConfig, names=tuple(_ARTIFACTS)) -> dict:
-    """Fit per config once and build the named artifacts.
-
-    Returns {filename: text} in the order of ``names``; the default builds
-    all four (``model.json``, ``spectrum.json``, ``report.json`` and
-    ``plotdata.csv``).
-    """
+def _fit_artifacts(cfg: PipelineConfig, names) -> dict:
+    """Fit per config once; {filename: chunks} for each of ``names``, in
+    their order."""
     series, obs = _prepared_series(cfg)
     try:
         model = models.fit(series, cfg.fit)
@@ -377,6 +391,19 @@ def run_pipeline(cfg: PipelineConfig, names=tuple(_ARTIFACTS)) -> dict:
     if obs is not None:
         echo["observable"] = obs
     return {name: _ARTIFACTS[name](model, echo) for name in names}
+
+
+def run_pipeline(cfg: PipelineConfig, names=tuple(_ARTIFACTS)) -> dict:
+    """Fit per config once and build the named artifacts.
+
+    Returns {filename: text} in the order of ``names``; the default builds
+    all four (``model.json``, ``spectrum.json``, ``report.json`` and
+    ``plotdata.csv``). Each text is the join of the chunks the CLI
+    writes to that file, so it holds the whole artifact in memory at
+    once; the CLI never does.
+    """
+    return {name: "".join(chunks)
+            for name, chunks in _fit_artifacts(cfg, names).items()}
 
 
 # --------------------------------------------------------------------------
@@ -441,24 +468,29 @@ def _build_parser():
 def _write_artifacts(out_dir: str, artifacts: dict):
     """Write every artifact or none.
 
-    The files are staged in a temporary directory inside ``out_dir``, and
-    a target that is a directory (which a file cannot replace) fails the
-    write before anything moves. Only then are they committed
-    (``_commit``), all or none, and a failed write removes an ``out_dir``
-    it created, so it leaves ``out_dir`` as it was.
+    ``artifacts`` maps each file name to an iterable of its str chunks.
+    The chunks are written to a staged file in a temporary directory
+    inside ``out_dir`` as they come, so no artifact need be held whole
+    in memory; a lazy builder formats each chunk here. A target that is a
+    directory (which a file cannot replace), an error raised by a builder
+    or a failed write stops before anything moves. Only when every file
+    is staged are they committed (``_commit``), all or none. A failure
+    removes the staging directory and an ``out_dir`` this call created,
+    so it leaves ``out_dir`` as it was.
     """
     fresh = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
         try:
-            for name, text in artifacts.items():
+            for name, chunks in artifacts.items():
                 if os.path.isdir(os.path.join(out_dir, name)):
                     raise ParameterError(
                         f"cannot write to --out-dir {out_dir}: {name} is a directory"
                     )
                 with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    for chunk in chunks:
+                        fh.write(chunk)
             _commit(staging, out_dir, list(artifacts))
         finally:
             shutil.rmtree(staging, ignore_errors=True)
@@ -525,10 +557,10 @@ def _run(args) -> int:
                 f"available: {', '.join(systems.preset_names())}"
             )
         series, _ = _resolve_input(args.input, args.observable)
-        _write_artifacts(args.out_dir, {"series.csv": format_series_csv(series)})
+        _write_artifacts(args.out_dir, {"series.csv": _series_table(series)})
         return 0
     if args.command in _COMMAND_ARTIFACTS:
-        artifacts = run_pipeline(
+        artifacts = _fit_artifacts(
             _pipeline_config(args), _COMMAND_ARTIFACTS[args.command]
         )
         _write_artifacts(args.out_dir, artifacts)
@@ -549,7 +581,7 @@ def _run(args) -> int:
             "base_dt": series.dt,
             "samples": len(series),
         }
-        _write_artifacts(args.out_dir, {"sweep.json": _dump_json(payload)})
+        _write_artifacts(args.out_dir, {"sweep.json": (_dump_json(payload),)})
         return 0
     # reproduce
     if args.scenario not in SCENARIOS:
@@ -559,7 +591,7 @@ def _run(args) -> int:
         )
     payload, lines = SCENARIOS[args.scenario]()
     name = args.scenario.replace("-", "_") + ".json"
-    _write_artifacts(args.out_dir, {name: _dump_json(payload)})
+    _write_artifacts(args.out_dir, {name: (_dump_json(payload),)})
     for line in lines:
         print(line)
     return 0

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayframe
-from delayframe import cli, linalg, models
+from delayframe import cli, linalg, models, systems
 from delayframe.cli import format_series_csv, load_series_csv, main
 from delayframe.embedding import TimeSeries
-from delayframe.errors import DataError
+from delayframe.errors import DataError, NumericalError
 
 
 def _write(path, text):
@@ -446,26 +446,48 @@ def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
     n = model.basis.v.shape[0]
     for rows in (1, 7, n - 1, n, n + 1):
         monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows)
-        assert cli._plotdata_csv(model, echo).encode() == expected, rows
+        chunks = list(cli._plotdata_csv(model, echo))
+        assert "".join(chunks).encode() == expected, rows
+        # The head (config line and header), then one chunk per block.
+        sizes = [min(rows, n - start) for start in range(0, n, rows)]
+        assert [c.count("\n") for c in chunks] == [2] + sizes, rows
 
 
-def test_plotdata_peak_memory_stays_near_its_text():
-    # The finished blocks and their join are two texts; the rows of one
-    # block and the rollout add little. Formatting the table in one piece
-    # held its row lists, row strings, join and newline copy at once.
-    t = 0.01 * np.arange(30_000)
-    x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + np.sin(2.0 * t))
-    model = models.fit(x, models.FitConfig(delays=41, rank=5))
+def _traced_peak(call):
+    """``call()``'s result and the most memory it held at once beyond what
+    was held when it started, in bytes, as ``tracemalloc`` counts it."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        text = cli._plotdata_csv(model, {})
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 3 * len(text)
+
+
+@pytest.mark.parametrize("samples", [30_000, 90_000])
+def test_plotdata_stream_peak_does_not_grow_with_its_rows(samples):
+    # A reader that writes each chunk and drops it holds the forcing and
+    # the rollout, which the table needs whole, and one block's floats and
+    # text. The table joined into one str, about 160 bytes a row, took
+    # 9.4 MB more than the rollout at 30,000 rows and 28.9 MB at 90,000.
+    t = 0.01 * np.arange(samples)
+    x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + np.sin(2.0 * t))
+    model = models.fit(x, models.FitConfig(delays=41, rank=5))
+
+    def rollout():
+        forcing = models.forcing_signal(model).values
+        models.reconstruct(model, model.basis.v[0, :model.state_dim],
+                           len(forcing), forcing)
+
+    def stream():
+        for _ in cli._plotdata_csv(model, {}):
+            pass
+
+    assert _traced_peak(stream)[1] < _traced_peak(rollout)[1] + 4 * 2**20
 
 
 @pytest.mark.parametrize("under", [False, True])
@@ -538,6 +560,83 @@ def test_failed_move_leaves_out_dir_as_it_was(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(os, "replace", replace)
     assert main(args) == 0
     assert len(_snapshot(out)) == 4 + populated
+
+
+def _raise_after_one_chunk(model, echo):
+    yield "# config: {}\n"
+    raise NumericalError("rollout diverged")
+
+
+class _FullDisk:
+    """A text file whose writes fail with ENOSPC after its first one."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("populated", [False, True])
+@pytest.mark.parametrize("failure, exit_code, message", [
+    ("builder", 4, "rollout diverged"),
+    ("write", 2, "No space left on device"),
+])
+def test_failure_mid_stream_leaves_out_dir_as_it_was(
+        tmp_path, capsys, monkeypatch, populated, failure, exit_code, message):
+    # plotdata.csv fails after its first chunk reached the staged file,
+    # with the three JSON files already staged beside it.
+    out = tmp_path / "o"
+    if populated:
+        assert main(["fit", "--input", "two_tone", "--delays", "41", "--rank",
+                     "3", "--out-dir", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+    before = _snapshot(out)
+    if failure == "builder":
+        monkeypatch.setitem(cli._ARTIFACTS, "plotdata.csv",
+                            _raise_after_one_chunk)
+    else:
+        def opening(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return _FullDisk(fh) if path.endswith("plotdata.csv") else fh
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+    code = main(["fit", "--input", "two_tone", "--delays", "41", "--rank", "4",
+                 "--no-forcing", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == exit_code
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    # No file moved, no .staging-* is left, and a fresh --out-dir is gone.
+    assert _snapshot(out) == before
+
+
+def test_written_files_equal_the_str_forms(tmp_path):
+    # The CLI streams each artifact into its file; run_pipeline and
+    # format_series_csv join the same chunks. Both run on one BLAS thread,
+    # as main does, so the numbers are the same to the bit.
+    out = tmp_path / "o"
+    argv = ["fit", "--input", "two_tone", "--delays", "41", "--rank", "5",
+            "--out-dir", str(out / "fit")]
+    assert main(argv) == 0
+    assert main(["simulate", "--input", "two_tone",
+                 "--out-dir", str(out / "sim")]) == 0
+    cfg = cli._pipeline_config(cli._build_parser().parse_args(argv))
+    with linalg._one_blas_thread():
+        texts = cli.run_pipeline(cfg)
+    series, _ = systems.preset_series("two_tone", None)
+    texts["series.csv"] = format_series_csv(series)
+    written = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert written == {name: text.encode() for name, text in texts.items()}
 
 
 def test_rewrite_replaces_every_artifact(tmp_path):
@@ -647,15 +746,7 @@ def test_csv_read_peaks_near_its_table(tmp_path):
     n = 50_001
     x = TimeSeries(t0=0.0, dt=0.001, values=np.sin(0.001 * np.arange(n)))
     path = _write(tmp_path / "x.csv", format_series_csv(x))
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        y = load_series_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    y, peak = _traced_peak(lambda: load_series_csv(path))
     assert y.values.tobytes() == x.values.tobytes()
     assert peak < 3 * 16 * n
 
