@@ -176,9 +176,11 @@ def load_series_csv(path: str) -> TimeSeries:
     quotes and a trailing ``# note`` are errors that name the row's
     1-based file line. Times and values must be finite (``nan`` and
     ``inf`` parse, then are rejected), and times strictly increasing with
-    uniform spacing to 1e-9 relative jitter; a non-uniform series is a
-    data error with a hint to resample. Lines end in ``\\n``, ``\\r\\n``
-    or ``\\r``.
+    uniform spacing: the largest and smallest step may differ by at most
+    1e-9 of the mean step plus 4 * eps * max|t|, the most the rounding of
+    the times themselves can spread them; ``dt`` is the mean step. A
+    non-uniform series is a data error with a hint to resample. Lines
+    end in ``\\n``, ``\\r\\n`` or ``\\r``.
 
     The rows stream from the file into ``np.loadtxt``, so no list of lines
     is built; only a rejected file is read a second time, to name its
@@ -212,10 +214,13 @@ def load_series_csv(path: str) -> TimeSeries:
     if np.any(diffs <= 0.0):
         raise DataError(f"{path}: time column must be strictly increasing")
     dt = float(np.mean(diffs))
-    if (np.max(diffs) - np.min(diffs)) > 1e-9 * dt:
+    spread = float(np.max(diffs) - np.min(diffs))
+    # The rounding of the times alone spreads the steps by up to 4 eps max|t|.
+    bound = 1e-9 * dt + 4.0 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+    if spread > bound:
         raise DataError(
             f"{path}: sampling is not uniform (relative jitter "
-            f"{(np.max(diffs) - np.min(diffs)) / dt:.2e} > 1e-9); "
+            f"{spread / dt:.2e} > {bound / dt:.2e}); "
             "resample onto a uniform grid first (--dt-resample)"
         )
     return TimeSeries(t0=float(times[0]), dt=dt, values=values)

@@ -7,13 +7,12 @@ numbers in [0, 1] where 0 is the ideal structure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .linalg import Spectrum, as_matrix
+from .linalg import Spectrum, _scale, as_matrix
 
 __all__ = [
     "StructureReport",
@@ -55,10 +54,10 @@ def _square_nonzero(a, caller):
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ParameterError(f"{caller} needs a square matrix, got shape {a.shape}")
-    peak = float(np.max(np.abs(a)))
-    if peak == 0.0:
+    scaled = a.copy(order="K")
+    if _scale(scaled) is None:
         raise NumericalError(f"{caller} is undefined for the zero matrix")
-    return a, np.ldexp(a, -math.frexp(peak)[1])
+    return a, scaled
 
 
 def antisymmetry_score(a) -> float:

@@ -3,15 +3,16 @@ discrete orthogonal polynomial bases that delay-coordinate models converge to.
 
 Conventions used throughout:
 
-* a frame is an ordered list of orthonormal vectors e1..er, the Q of one
-  QR factorization of the successive derivatives of a curve, with a
-  derivative dropped when its pivot is negligible against its own norm;
+* a frame is an ordered list of orthonormal vectors e1..er, the
+  Gram-Schmidt orthonormalization of the successive derivatives of a
+  curve, with a derivative dropped when its pivot is negligible against
+  its own norm;
 * the curvature matrix K = (1/speed) (dQ/dt) Q^T is skew-symmetric with the
   curvatures on its first off-diagonals;
 * derivative estimates from sampled data use second-order central
   differences, which trim one sample per end per differentiation;
-* each Gram-determinant ratio is read off one QR factorization of the
-  derivative stack, and the orthonormal polynomials come from one
+* each Gram-determinant ratio is read off the pivots of that same
+  Gram-Schmidt pass, and the orthonormal polynomials come from one
   Arnoldi recurrence on the grid, for every degree the grid allows.
 """
 
@@ -25,11 +26,10 @@ import numpy as np
 from .errors import (
     DataError, DegenerateInputError, ParameterError, check_int, check_positive,
 )
-from .linalg import as_matrix
+from .linalg import _project_twice, _scale, as_matrix
 
 __all__ = [
     "FrenetApparatus",
-    "PolynomialBasis",
     "CurvatureMatrixEstimate",
     "ModelCurvatures",
     "central_difference",
@@ -42,7 +42,7 @@ __all__ = [
     "curvatures_from_model",
 ]
 
-# A derivative d_j is dependent on d_1..d_{j-1} when its squared QR pivot
+# A derivative d_j is dependent on d_1..d_{j-1} when its squared pivot
 # R_jj^2 is at most this fraction of ||d_j||^2 (see _orthonormalize).
 _PIVOT_TOL = 1e-12
 
@@ -64,25 +64,6 @@ class FrenetApparatus:
     @property
     def rank(self) -> int:
         return len(self.frame)
-
-
-@dataclass(frozen=True)
-class PolynomialBasis:
-    """Sampled orthonormal polynomials on the centered grid {-p..p}.
-
-    Column k of ``vectors`` (shape (2p + 1, degree)) is the polynomial of
-    degree k + 1.
-    """
-
-    vectors: np.ndarray = field(repr=False)
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(range(1, self.vectors.shape[1] + 1))
-
-    @property
-    def half_width(self) -> int:
-        return (self.vectors.shape[0] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -148,17 +129,18 @@ def derivative_stack(values, dt: float, order: int):
 
 
 def _orthonormalize(derivatives):
-    """Orthonormalize the derivative columns by one QR, dropping dependent ones.
+    """Orthonormalize the derivative columns in order, by one CGS2 pass,
+    dropping dependent ones.
 
-    Column j is dependent when R_jj^2 <= _PIVOT_TOL * ||d_j||^2, its own
-    norm, so the rule does not depend on the unit of time (which scales
-    d_j by s^j) and a zero column always drops. After a drop the stack is
-    factorized again without that column, so no later vector is projected
-    off a noise direction.
+    Each d_j is scaled by a power of two (``linalg._scale``), so no square
+    overflows or underflows, and projected twice off the vectors kept so
+    far (``linalg._project_twice``); its pivot R_jj is the norm of what
+    remains. It is dependent, and dropped, when R_jj^2 <= _PIVOT_TOL *
+    ||d_j||^2: against its own norm, so the rule does not depend on the
+    unit of time (which scales d_j by s^j), and a zero column always drops.
 
     Returns (q, pivots, dropped): the orthonormal columns of the kept
-    derivatives with signs set so that R_jj > 0, their pivots R_jj, and
-    the input indices that were dropped.
+    derivatives, their pivots R_jj > 0, and the input indices dropped.
     """
     arr = [np.asarray(d, dtype=float) for d in derivatives]
     if not arr:
@@ -169,35 +151,32 @@ def _orthonormalize(derivatives):
             raise ParameterError(f"d{i + 1} has shape {v.shape}, expected {shape}")
         if not np.all(np.isfinite(v)):
             raise DataError(f"d{i + 1} contains non-finite entries")
-    # Each column is scaled by a power of two to a largest entry in
-    # [0.5, 1), so neither its squares nor the QR can overflow or fall into
-    # subnormals; the scaling moves no bit of Q and is undone exactly on
-    # the pivots.
+    # Kept vector k is written to column k, over an input already used.
     columns = np.column_stack(arr)
-    _, exponents = np.frexp(np.max(np.abs(columns), axis=0))
-    columns = np.ldexp(columns, -exponents)
-    norms = np.sum(columns**2, axis=0)
-    kept = list(range(len(arr)))
-    while True:
-        q, r = np.linalg.qr(columns[:, kept])
-        # A column past the vector length has no pivot: it is dependent.
-        pivots = np.pad(np.diag(r), (0, r.shape[1] - r.shape[0]))
-        dependent = np.flatnonzero(pivots**2 <= _PIVOT_TOL * norms[kept])
-        if dependent.size == 0:
-            break
-        del kept[dependent[0]]
-    dropped = tuple(i for i in range(len(arr)) if i not in kept)
-    return q * np.sign(pivots), np.ldexp(np.abs(pivots), exponents[kept]), dropped
+    pivots, dropped = [], []
+    for j in range(len(arr)):
+        w = columns[:, j]
+        exponent = _scale(w)
+        if exponent is not None:
+            norm_squared = float(w @ w)
+            pivot = _project_twice(w, columns[:, :len(pivots)])[1]
+            if pivot**2 > _PIVOT_TOL * norm_squared:
+                w /= pivot
+                columns[:, len(pivots)] = w
+                pivots.append(math.ldexp(pivot, exponent))
+                continue
+        dropped.append(j)
+    return columns[:, :len(pivots)], np.array(pivots), tuple(dropped)
 
 
 def frenet_frame(derivatives) -> FrenetApparatus:
     """Orthonormal moving frame from an ordered derivative list.
 
-    The frame is the Q of one QR factorization of the derivatives (e1 is
-    the normalized first derivative). Dependent derivatives are dropped
-    and reported through the ``dropped`` field rather than raising, so a
-    straight line yields a rank-1 frame. A zero first derivative is
-    degenerate.
+    The frame is the Gram-Schmidt orthonormalization of the derivatives,
+    in order (e1 is the normalized first derivative). Dependent
+    derivatives are dropped and reported through the ``dropped`` field
+    rather than raising, so a straight line yields a rank-1 frame. A zero
+    first derivative is degenerate.
     """
     q, pivots, dropped = _orthonormalize(derivatives)
     if dropped[:1] == (0,):
@@ -257,9 +236,9 @@ def analytic_curvatures_gram(d1, d2, d3, d4):
     (kappa_1, kappa_2, kappa_3) : floats
         kappa_i = sqrt(det G_{i+1} det G_{i-1}) / (det G_i ||d1||), where
         G_i is the Gram matrix of the first i derivatives and det G_0 = 1.
-        With R from one QR factorization of [d1 d2 d3 d4], det G_i is the
-        product of R_jj^2 over j <= i, so kappa_i = |R_{i+1,i+1}| /
-        (|R_ii| |R_11|).
+        With R_jj the Gram-Schmidt pivots of [d1 d2 d3 d4] (the diagonal
+        of R in their QR factorization), det G_i is the product of R_jj^2
+        over j <= i, so kappa_i = |R_{i+1,i+1}| / (|R_ii| |R_11|).
 
     Raises
     ------
@@ -314,8 +293,9 @@ def curvatures_from_singular_values(sigma):
     return out
 
 
-def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
-    """Discrete orthonormal polynomials p1..p_degree.
+def discrete_orthopoly(delays: int, degree: int) -> np.ndarray:
+    """Discrete orthonormal polynomials p1..p_degree, as the columns of a
+    (delays, degree) array: column k holds the polynomial of degree k + 1.
 
     Evaluated on the centered integer grid n in {-p..p} with p =
     (delays - 1) / 2, for any degree up to p. These are the polynomials
@@ -323,10 +303,10 @@ def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
     to: p_k is the orthonormalization of n, n^2, ..., n^k, with a positive
     leading coefficient. They come from the Arnoldi recurrence
     (Brubeck, Nakatsukasa and Trefethen, SIAM Review 63(2), 2021): p1 =
-    n / ||n||, and p_{k+1} is n * p_k projected off p1..p_k twice, then
-    normalized. The second projection keeps them orthonormal to rounding
-    at high degree, where the monomials themselves are far too ill
-    conditioned to orthonormalize.
+    n / ||n||, and p_{k+1} is n * p_k projected off p1..p_k twice
+    (``linalg._project_twice``), then normalized. The second projection
+    keeps them orthonormal to rounding at high degree, where the
+    monomials themselves are far too ill conditioned to orthonormalize.
     """
     check_int("delays", delays)
     check_int("degree", degree)
@@ -344,10 +324,8 @@ def discrete_orthopoly(delays: int, degree: int) -> PolynomialBasis:
     q[:, 0] = grid / np.linalg.norm(grid)
     for k in range(1, degree):
         v = grid * q[:, k - 1]
-        for _ in range(2):
-            v -= q[:, :k] @ (q[:, :k].T @ v)
-        q[:, k] = v / np.linalg.norm(v)
-    return PolynomialBasis(vectors=q)
+        q[:, k] = v / _project_twice(v, q[:, :k])[1]
+    return q
 
 
 def curvatures_from_model(a_continuous, speed: float) -> ModelCurvatures:

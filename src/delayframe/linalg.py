@@ -179,8 +179,7 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     a = _as_2d(a, "matrix")
     tall = a.shape[0] > a.shape[1]
     series = _window_series(a.T if tall else a)
-    values = a if series is None else series
-    _check_finite(values, "matrix")
+    _check_finite(a if series is None else series, "matrix")
     kmax = min(a.shape)
     check_int("rank", rank)
     if not 1 <= rank <= kmax:
@@ -194,13 +193,14 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
                 f"center must be in [0, {a.shape[0] - 1}] for shape {a.shape}, "
                 f"got {center}"
             )
-    exponent = math.frexp(max(float(values.max()), -float(values.min())))[1]
+    # _scale works in place, so a matrix is copied; a zero one stays zero.
+    values = a.copy(order="K") if series is None else series
+    exponent = _scale(values) or 0
     try:
         if series is None:
-            products = _matrix_products(np.ldexp(a, -exponent), center, tall)
+            products = _matrix_products(values, center, tall)
         else:
-            np.ldexp(series, -exponent, out=series)
-            products = _window_products(series, kmax, center, tall)
+            products = _window_products(values, kmax, center, tall)
         u, s, v = _gram_ritz_svd(*products, rank, max(a.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
@@ -248,21 +248,22 @@ def _leading_eigenpairs(gram, rank):
     section 4.5).
 
     The block holds ``b = min(m, rank + _OVERSAMPLE)`` columns, m the order
-    of ``gram``. It starts from ``qr`` of b evenly spaced columns of
-    ``gram``, or from the identity when b = m. Each step forms
-    ``z = gram @ q`` and takes ``eigh`` of ``q.T @ z``; it stops once each
-    of the ``rank`` leading Ritz pairs (theta_j, y_j) meets
+    of ``gram``. It starts from b evenly spaced columns of ``gram``,
+    orthonormalized in place (``_orthonormalize``), or from the identity
+    when b = m. Each step forms ``z = gram @ q`` and takes ``eigh`` of
+    ``q.T @ z``; it stops once each of the ``rank`` leading Ritz pairs
+    (theta_j, y_j) meets
     ``|gram @ y_j - theta_j y_j| <= sqrt(m) * eps * theta_1``, else takes
-    ``q = qr(z)``. A block that has not met it after ``_EIG_BUDGET`` steps
-    widens to the identity, whose Rayleigh-Ritz step is ``eigh(gram)``
-    itself, bit for bit.
+    ``q = _orthonormalize(z)``. A block that has not met it after
+    ``_EIG_BUDGET`` steps widens to the identity, whose Rayleigh-Ritz step
+    is ``eigh(gram)`` itself, bit for bit.
     """
     m = len(gram)
     b = min(m, rank + _OVERSAMPLE)
     if b == m:
         q = np.eye(m)
     else:
-        q = np.linalg.qr(gram[:, np.arange(b) * (m - 1) // (b - 1)])[0]
+        q = _orthonormalize(gram[:, np.arange(b) * (m - 1) // (b - 1)])
     tol = np.finfo(float).eps * math.sqrt(m)
     for step in itertools.count(1):
         z = gram @ q
@@ -272,7 +273,7 @@ def _leading_eigenpairs(gram, rank):
         if (q.shape[1] == m
                 or _largest_residual(z @ s, theta, vectors) <= tol * theta[0]):
             return theta, vectors
-        q = np.linalg.qr(z)[0] if step < _EIG_BUDGET else np.eye(m)
+        q = _orthonormalize(z) if step < _EIG_BUDGET else np.eye(m)
 
 
 def _ritz_pass(y, h_times):
@@ -299,11 +300,11 @@ def _orthonormalize(p):
     enough": Giraud, Langou and Rozloznik, 2005), one column at a time.
     Column j is scaled by a power of two so its largest magnitude lies in
     [0.5, 1), so its squared norm neither overflows nor underflows; then
-    its projection on columns 0..j-1 is subtracted twice, and it is
-    scaled again and normalized. A column that is zero, or that the second
-    projection shrinks to half its length or less (Kahan and Parlett's
-    test), lies in the span of the earlier ones. It is replaced by the
-    coordinate vector of the row the earlier columns weigh least,
+    it is projected off columns 0..j-1 twice (``_project_twice``), and
+    scaled again and normalized. A column that is zero, or that the
+    second projection shrinks to half its length or less (Kahan and
+    Parlett's test), lies in the span of the earlier ones. It is replaced
+    by the coordinate vector of the row the earlier columns weigh least,
     projected off them twice. So the columns come out orthonormal
     whatever the rank of ``p``, as LAPACK's Q does, and without a
     floating-point warning. The temporaries are a few vectors of ``p``'s
@@ -311,28 +312,36 @@ def _orthonormalize(p):
     """
     for j in range(p.shape[1]):
         w, q = p[:, j], p[:, :j]
-        if _scale(w):
-            w -= q @ (q.T @ w)
-            first = math.sqrt(float(w @ w))
-            w -= q @ (q.T @ w)
-            if math.sqrt(float(w @ w)) > 0.5 * first and _scale(w):
+        if _scale(w) is not None:
+            first, second = _project_twice(w, q)
+            if second > 0.5 * first and _scale(w) is not None:
                 w /= math.sqrt(float(w @ w))
                 continue
         w[:] = 0.0
         w[np.argmin(np.einsum("ij,ij->i", q, q))] = 1.0
-        w -= q @ (q.T @ w)
-        w -= q @ (q.T @ w)
-        w /= math.sqrt(float(w @ w))
+        w /= _project_twice(w, q)[1]
     return p
+
+
+def _project_twice(w, q):
+    """Project ``w`` off the orthonormal columns ``q`` twice, in place: the
+    column step of CGS2. Return the norm of ``w`` after each projection."""
+    w -= q @ (q.T @ w)
+    first = math.sqrt(float(w @ w))
+    w -= q @ (q.T @ w)
+    return first, math.sqrt(float(w @ w))
 
 
 def _scale(w):
     """Scale ``w`` in place by a power of two so its largest magnitude lies
-    in [0.5, 1), exactly; whether ``w`` is nonzero."""
+    in [0.5, 1), exactly, and return the exponent removed (the input is
+    ``w * 2**exponent``); None, with ``w`` left as it is, when it is zero."""
     top = max(float(w.max()), -float(w.min()))
-    if top > 0.0:
-        np.ldexp(w, -math.frexp(top)[1], out=w)
-    return top > 0.0
+    if top == 0.0:
+        return None
+    exponent = math.frexp(top)[1]
+    np.ldexp(w, -exponent, out=w)
+    return exponent
 
 
 def _largest_residual(p, s, v):
@@ -346,9 +355,11 @@ def _largest_residual(p, s, v):
     return math.sqrt(float(np.max(squares)))
 
 
-def _matrix_products(a, center, tall):
-    """``_gram_ritz_svd``'s products for a matrix held in memory."""
-    h = a if center is None else a - a[center]
+def _matrix_products(h, center, tall):
+    """``_gram_ritz_svd``'s products for a matrix held in memory, ``h``,
+    which is centered in place."""
+    if center is not None:
+        h -= h[center].copy()
     if tall:
         h = h.T
     return h @ h.T, lambda q: h.T @ q, lambda y: h @ y
@@ -534,11 +545,8 @@ def eigen_nonsymmetric(a) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     order = np.lexsort((w.real, w.imag))
-    w = w[order]
-    vecs = vecs[:, order]
-    norms = np.linalg.norm(vecs, axis=0)
-    vecs = vecs / norms
-    return Spectrum(eigenvalues=w, eigenvectors=vecs)
+    # LAPACK's geev returns each eigenvector with unit norm.
+    return Spectrum(eigenvalues=w[order], eigenvectors=vecs[:, order])
 
 
 @contextlib.contextmanager

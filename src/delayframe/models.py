@@ -41,7 +41,9 @@ from .embedding import (
 )
 from .errors import DegenerateRankError, ParameterError, check_instance, check_int
 from .geometry import central_difference
-from .linalg import Spectrum, SvdTriple, eigen_nonsymmetric, pseudo_inverse, thin_svd
+from .linalg import (
+    Spectrum, SvdTriple, _scale, eigen_nonsymmetric, pseudo_inverse, thin_svd,
+)
 
 __all__ = [
     "FitConfig",
@@ -172,9 +174,10 @@ def _guarded_svd(matrix, rank, state_dim, center):
 
 
 def _norm(d):
-    """Euclidean norm of ``d``, scaled by ``max|d|`` so no square overflows."""
-    m = float(np.max(np.abs(d)))
-    return m * float(np.linalg.norm(d / m)) if m > 0.0 else 0.0
+    """Euclidean norm of ``d``, which ``_scale`` scales in place exactly so
+    no square overflows or underflows."""
+    exponent = _scale(d)
+    return 0.0 if exponent is None else float(np.ldexp(np.linalg.norm(d), exponent))
 
 
 def _band_orientation(a_ext):

@@ -113,7 +113,7 @@ def test_criterion_03_structure_scores(two_tone_models):
 
 def test_criterion_04_polynomial_basis(two_tone):
     with verdict(4, "polynomial basis"):
-        p = discrete_orthopoly(41, 4).vectors
+        p = discrete_orthopoly(41, 4)
         np.testing.assert_allclose(p.T @ p, np.eye(4), atol=1e-10)
         window = build_hankel(two_tone, 41).matrix
         u = thin_svd(window, 4, center=center_index(41)).u

@@ -105,8 +105,9 @@ _CSV_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.225e-308, -0.0]),
 )
-# The times t0 + k*dt read back uniform to 1e-9 only while |t0| stays
-# within a few million steps of zero.
+# dt reads back within 1e-9 of itself only while |t0| stays within a few
+# million steps of zero: the rounding of the end times moves the mean step
+# by up to 2 * eps * max|t| / (rows - 1).
 _CSV_GRID = st.tuples(st.floats(1e-6, 1e3), st.floats(-1e6, 1e6))
 # The last three are cells that Python's float() reads (as 10, 12 and 1)
 # but numpy's C parser does not: digit separators and non-ASCII digits.
@@ -156,6 +157,35 @@ def test_csv_rejects_jitter_with_hint(tmp_path):
     path = _write(tmp_path / "x.csv", rows)
     with pytest.raises(DataError, match="resample"):
         load_series_csv(path)
+
+
+@pytest.mark.parametrize("t0", [1e6, 1.7e9])
+def test_csv_round_trip_from_a_clock_far_from_zero(tmp_path, t0):
+    # The times' own rounding spreads the steps by up to 4 * eps * max|t|,
+    # at 1.7e9 (Unix seconds) 2e-4 of a 1 ms step.
+    x = TimeSeries(t0=t0, dt=1e-3, values=np.sin(np.arange(3000.0)))
+    y = load_series_csv(_write(tmp_path / "x.csv", format_series_csv(x)))
+    assert y.t0 == x.t0
+    assert y.values.tobytes() == x.values.tobytes()
+    end = t0 + 3000 * x.dt
+    assert abs(y.dt - x.dt) <= 1e-9 * x.dt + 2 * np.finfo(float).eps * end / 2999
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.7e9])
+def test_csv_rejects_jitter_above_the_rounding_bound(tmp_path, capsys, t0):
+    # One time moved by the bound moves two steps by it, in opposite
+    # directions, so their spread exceeds it whatever the rounding.
+    x = TimeSeries(t0=t0, dt=1e-3, values=np.zeros(3000))
+    rows = format_series_csv(x).splitlines()
+    time, value = map(float, rows[1500].split(","))
+    end = float(rows[-1].split(",")[0])
+    bound = 1e-9 * x.dt + 4 * sys.float_info.epsilon * end
+    rows[1500] = f"{time + bound!r},{value!r}"
+    path = _write(tmp_path / "x.csv", "\n".join(rows) + "\n")
+    code = main(["diagnose", "--input", path, "--delays", "2", "--rank", "2",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "sampling is not uniform" in capsys.readouterr().err
 
 
 def test_csv_rejects_nonincreasing_time(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from delayframe import geometry
 from delayframe.errors import DegenerateInputError, ParameterError
 from delayframe.geometry import (
     FrenetApparatus,
@@ -121,6 +122,64 @@ def test_frenet_frame_spans_its_inputs_and_reports_planted_drops(seed):
         resid = v - q.T @ (q @ v)
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(v)
     assert app.dropped == tuple(planted)
+
+
+def _householder_frame(derivatives):
+    """The orthonormalization geometry ran before its CGS2 pass, kept as
+    an oracle: LAPACK's QR of the stack (each column scaled by a power of
+    two), factorized again without each dropped column."""
+    columns = np.column_stack(derivatives)
+    _, exponents = np.frexp(np.max(np.abs(columns), axis=0))
+    columns = np.ldexp(columns, -exponents)
+    norms = np.sum(columns**2, axis=0)
+    kept = list(range(columns.shape[1]))
+    while True:
+        q, r = np.linalg.qr(columns[:, kept])
+        # A column past the vector length has no pivot: it is dependent.
+        pivots = np.pad(np.diag(r), (0, r.shape[1] - r.shape[0]))
+        dependent = np.flatnonzero(pivots**2 <= geometry._PIVOT_TOL * norms[kept])
+        if dependent.size == 0:
+            break
+        del kept[dependent[0]]
+    dropped = tuple(i for i in range(columns.shape[1]) if i not in kept)
+    return q * np.sign(pivots), np.ldexp(np.abs(pivots), exponents[kept]), dropped
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=10), st.data())
+def test_orthonormalize_matches_the_householder_oracle(seed, length, data):
+    """Stacks of new directions, zero columns and combinations of earlier
+    columns, possibly more of them than samples, each column scaled by
+    10^-170 to 10^155: CGS2 drops the same columns as the oracle and finds
+    the same pivots and frame."""
+    gen = np.random.default_rng(seed)
+    kinds = data.draw(st.lists(st.sampled_from(["new", "zero", "combo"]),
+                               min_size=1, max_size=12))
+    basis = np.linalg.qr(gen.standard_normal((length, length)))[0]
+    # Each column is a direction in ``unscaled`` times its scale.
+    unscaled, columns, planted = [], [], []
+    for i, kind in enumerate(kinds):
+        rank = len(columns) - len(planted)
+        if kind == "new" and rank < length:
+            # Pivot at least about a third of the norm: far from dependent.
+            d = basis[:, rank] + basis[:, :rank] @ (0.3 * gen.standard_normal(rank))
+        elif kind == "new":
+            d = gen.standard_normal(length)
+            planted.append(i)
+        else:
+            d = np.zeros(length)
+            if kind == "combo" and columns:
+                d = np.column_stack(unscaled) @ gen.standard_normal(len(columns))
+            planted.append(i)
+        unscaled.append(d)
+        columns.append(d * 10.0 ** data.draw(st.floats(-170.0, 155.0)))
+    q, pivots, dropped = geometry._orthonormalize(columns)
+    oracle_q, oracle_pivots, oracle_dropped = _householder_frame(columns)
+    assert dropped == oracle_dropped == tuple(planted)
+    np.testing.assert_allclose(pivots, oracle_pivots, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-13
+    np.testing.assert_allclose(q, oracle_q, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.001])
@@ -252,18 +311,16 @@ def test_sv_curvature_validation():
 @pytest.mark.parametrize("delays", [11, 41, 201])
 def test_orthopoly_orthonormal(delays):
     degree = min(5, (delays - 1) // 2)
-    p = discrete_orthopoly(delays, degree).vectors
+    p = discrete_orthopoly(delays, degree)
     np.testing.assert_allclose(p.T @ p, np.eye(degree), atol=1e-12)
 
 
 def test_orthopoly_degrees_and_grid():
     basis = discrete_orthopoly(11, 3)
-    assert basis.degrees == (1, 2, 3)
-    assert basis.half_width == 5
-    assert basis.vectors.shape == (11, 3)
+    assert basis.shape == (11, 3)
     # p1 is odd, p2 is even about the grid center
-    np.testing.assert_allclose(basis.vectors[::-1, 0], -basis.vectors[:, 0])
-    np.testing.assert_allclose(basis.vectors[::-1, 1], basis.vectors[:, 1])
+    np.testing.assert_allclose(basis[::-1, 0], -basis[:, 0])
+    np.testing.assert_allclose(basis[::-1, 1], basis[:, 1])
 
 
 def test_orthopoly_validation():
@@ -284,8 +341,24 @@ def test_orthopoly_matches_qr_oracle(delays):
     q, r = np.linalg.qr(np.column_stack([n**k for k in range(1, 6)]))
     oracle = q * np.sign(np.diag(r))
     np.testing.assert_allclose(
-        discrete_orthopoly(delays, 5).vectors, oracle, rtol=0.0, atol=1e-12
+        discrete_orthopoly(delays, 5), oracle, rtol=0.0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("delays, degree", [(11, 5), (41, 8), (201, 30), (401, 60)])
+def test_orthopoly_keeps_the_bits_of_its_inline_recurrence(delays, degree):
+    # The recurrence as it was written before it shared linalg's CGS2
+    # step: the same operations in the same order.
+    p = (delays - 1) // 2
+    grid = np.arange(-p, p + 1, dtype=float)
+    q = np.empty((delays, degree))
+    q[:, 0] = grid / np.linalg.norm(grid)
+    for k in range(1, degree):
+        v = grid * q[:, k - 1]
+        for _ in range(2):
+            v -= q[:, :k] @ (q[:, :k].T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+    assert np.array_equal(discrete_orthopoly(delays, degree), q)
 
 
 @pytest.mark.parametrize("delays, degree", [
@@ -296,7 +369,7 @@ def test_orthopoly_high_degree_orthonormal(delays, degree):
     # and finds them dependent at (401, 60). The recurrence stays within
     # 1e-15; with one projection instead of two it drifts to 2e-14 at
     # (401, 60) and 9e-14 at (401, 200).
-    q = discrete_orthopoly(delays, degree).vectors
+    q = discrete_orthopoly(delays, degree)
     np.testing.assert_allclose(q.T @ q, np.eye(degree), rtol=0.0, atol=1e-14)
 
 

@@ -374,6 +374,22 @@ def test_leading_eigenpairs_widen_after_the_step_budget(monkeypatch):
     assert np.array_equal(theta, w[:-4:-1]) and np.array_equal(vectors, q[:, :-4:-1])
 
 
+def test_leading_eigenpairs_on_a_rank_deficient_gram(two_tone, monkeypatch):
+    # sin(t) + sin(2t) has a rank-4 Hankel matrix, so the start block of 8
+    # Gram columns spans 4 directions; its dependent columns become
+    # coordinate vectors, and the block still meets the residual test
+    # without widening.
+    h = build_hankel(two_tone, 41).matrix
+    gram = h @ h.T
+    shapes = _calls(monkeypatch, "eigh")
+    theta, vectors = linalg._leading_eigenpairs(gram, 4)
+    assert set(shapes) == {(8, 8)} and len(shapes) < linalg._EIG_BUDGET
+    tol = np.sqrt(41) * np.finfo(float).eps * theta[0]
+    residual = np.linalg.norm(gram @ vectors - vectors * theta, axis=0)
+    assert np.all(residual <= tol), residual / theta[0]
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), rtol=0.0, atol=1e-14)
+
+
 def test_shavok_fit_takes_eigh_of_small_blocks_only(series_cache, monkeypatch):
     # A 401-delay sHAVOK fit: each half's Gram is 401 x 401, yet every eigh
     # is of a Ritz block of at most rank + 4, and neither half widens.
@@ -472,9 +488,12 @@ def test_eigen_nonsymmetric_rotation_generator():
 
 def test_eigen_ordering_is_imaginary_major(rng):
     a = rng.standard_normal((6, 6))
-    w = eigen_nonsymmetric(a).eigenvalues
-    keys = list(zip(w.imag, w.real))
+    spec = eigen_nonsymmetric(a)
+    keys = list(zip(spec.eigenvalues.imag, spec.eigenvalues.real))
     assert keys == sorted(keys)
+    # LAPACK's geev returns unit-norm eigenvectors.
+    np.testing.assert_allclose(np.linalg.norm(spec.eigenvectors, axis=0), 1.0,
+                               rtol=0.0, atol=1e-14)
 
 
 def test_one_blas_thread_sets_one_and_restores_the_count():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -29,6 +30,36 @@ def test_every_export_resolves(module):
     assert len(set(exported)) == len(exported)
     missing = [name for name in exported if not hasattr(mod, name)]
     assert missing == [], f"{mod.__name__}.__all__ names undefined {missing}"
+
+
+def _uses(tree, name):
+    """(innermost function, line) of each reference to ``name``, as a bare
+    name or an attribute, in ``tree``; the function is None at module
+    level."""
+    defs = [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            owner = max(around, key=lambda d: d.lineno).name if around else None
+            found.append((owner, node.lineno))
+    return found
+
+
+def test_one_orthonormalization_and_one_exact_scaling():
+    # linalg._project_twice is the package's one Gram-Schmidt step and
+    # linalg._scale its one exact power-of-two scaling. A QR factorization
+    # would be a second orthonormalization; a frexp elsewhere, a second
+    # scaling. geometry.analytic_curvatures_gram's frexp splits its pivots
+    # into mantissa and exponent to take a ratio: it scales nothing.
+    qr, frexp = [], set()
+    for path in sorted(Path(delayframe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        qr += [(path.stem, owner, line) for owner, line in _uses(tree, "qr")]
+        frexp |= {(path.stem, owner) for owner, _ in _uses(tree, "frexp")}
+    assert qr == []
+    assert frexp == {("linalg", "_scale"), ("geometry", "analytic_curvatures_gram")}
 
 
 @pytest.mark.parametrize("demo", ["lorenz_forcing.py"])
