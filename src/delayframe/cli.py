@@ -93,9 +93,10 @@ def format_series_csv(x: TimeSeries) -> str:
 
     The values read back to the same bits. The time column is ``t0 + k *
     dt``, so ``t0`` reads back equal in value (a ``-0.0`` becomes ``0.0``)
-    and ``dt`` as the mean step between rows, which differs from it by
-    the rounding of the times. ``simulate`` writes the same chunks
-    straight to ``series.csv``.
+    and ``dt`` as the mean step between rows, which carries the rounding
+    of the end times: for 3,000 rows at dt 1e-3 it is exact at t0 = 0,
+    and 1.6e-11 and 2.4e-8 relative off at t0 = 1e6 and 1.7e9. ``simulate``
+    writes the same chunks straight to ``series.csv``.
     """
     return "".join(_series_table(x))
 
@@ -178,7 +179,8 @@ def load_series_csv(path: str) -> TimeSeries:
     ``inf`` parse, then are rejected), and times strictly increasing with
     uniform spacing: the largest and smallest step may differ by at most
     1e-9 of the mean step plus 4 * eps * max|t|, the most the rounding of
-    the times themselves can spread them; ``dt`` is the mean step. A
+    the times themselves can spread them; ``dt`` is the mean step, which
+    carries the rounding of the end times (see ``format_series_csv``). A
     non-uniform series is a data error with a hint to resample. Lines
     end in ``\\n``, ``\\r\\n`` or ``\\r``.
 

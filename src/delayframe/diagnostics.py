@@ -62,31 +62,40 @@ def _square_nonzero(a, caller):
 
 def antisymmetry_score(a) -> float:
     """||A + A^T||_F / (2 ||A||_F): 0 iff exactly skew, 1 iff symmetric."""
-    _, a = _square_nonzero(a, "antisymmetry_score")
-    return float(np.linalg.norm(a + a.T) / (2.0 * np.linalg.norm(a)))
+    return _antisymmetry(_square_nonzero(a, "antisymmetry_score")[1])
 
 
 def tridiagonality_score(a) -> float:
     """Fraction of Frobenius energy outside the three central diagonals."""
-    _, a = _square_nonzero(a, "tridiagonality_score")
-    band = np.abs(np.arange(a.shape[0])[:, None] - np.arange(a.shape[0])) <= 1
-    total = float(np.sum(a * a))
-    outside = float(np.sum(a[~band] ** 2))
-    return outside / total
+    scaled = _square_nonzero(a, "tridiagonality_score")[1]
+    return _tridiagonality(scaled, _off_band(scaled.shape[0]))
 
 
 def structure_report(a) -> StructureReport:
     """Both structure scores plus the band contents and off-band peak."""
     a, scaled = _square_nonzero(a, "structure_report")
-    band = np.abs(np.arange(a.shape[0])[:, None] - np.arange(a.shape[0])) <= 1
-    off = a[~band]
+    off_band = _off_band(a.shape[0])
+    off = a[off_band]
     return StructureReport(
-        antisymmetry=antisymmetry_score(scaled),
-        tridiagonality=tridiagonality_score(scaled),
+        antisymmetry=_antisymmetry(scaled),
+        tridiagonality=_tridiagonality(scaled, off_band),
         offband_max=float(np.max(np.abs(off))) if off.size else 0.0,
         superdiagonal=tuple(np.diag(a, 1)),
         subdiagonal=tuple(np.diag(a, -1)),
     )
+
+
+def _off_band(n):
+    """Mask of the entries of an n x n matrix off its three central diagonals."""
+    return np.abs(np.arange(n)[:, None] - np.arange(n)) > 1
+
+
+def _antisymmetry(scaled):
+    return float(np.linalg.norm(scaled + scaled.T) / (2.0 * np.linalg.norm(scaled)))
+
+
+def _tridiagonality(scaled, off_band):
+    return float(np.sum(scaled[off_band] ** 2)) / float(np.sum(scaled * scaled))
 
 
 def spectrum_distance(a: Spectrum, b: Spectrum) -> SpectrumComparison:

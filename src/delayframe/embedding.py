@@ -1,11 +1,11 @@
 """Hankel (time-delay) embedding of uniformly sampled scalar series.
 
 ``build_hankel`` returns a read-only ``sliding_window_view`` of the
-series, so the delay matrix costs no memory of its own. ``center_hankel``
-materializes the centered copy for callers that want it; the fit does
-not: it passes the window and the central row's index (``center_index``)
-to ``linalg.thin_svd``, which factorizes the centered window from the
-series without forming it.
+series, so the delay matrix costs no memory of its own, and
+``center_row`` a view of its central row. ``center_hankel`` makes the
+centered copy for callers that want it; the fit passes the window and
+``center_index`` to ``linalg.thin_svd`` instead, which factorizes the
+centered window from the series without forming it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "build_hankel",
     "center_hankel",
     "center_index",
+    "center_row",
     "split_shift",
 ]
 
@@ -62,13 +63,10 @@ class HankelEmbedding:
 
     Rows walk the delay axis, columns the time axis; column j is the
     window starting at sample j of the series it was built from; from
-    ``build_hankel`` it is a read-only view of that series. A centered
-    embedding has had its central row subtracted and keeps it in
-    ``center_row``; an embedding is centered exactly once.
+    ``build_hankel`` it is a read-only view of that series.
     """
 
     matrix: np.ndarray = field(repr=False)
-    center_row: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def delays(self) -> int:
@@ -77,10 +75,6 @@ class HankelEmbedding:
     @property
     def columns(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def centered(self) -> bool:
-        return self.center_row is not None
 
 
 def build_hankel(x: TimeSeries, delays: int) -> HankelEmbedding:
@@ -117,41 +111,37 @@ def center_index(delays: int) -> int:
     return (delays - 1) // 2
 
 
-def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
-    """Subtract the central row, keeping it for later geometry.
+def center_row(x: TimeSeries, delays: int) -> np.ndarray:
+    """Central row of the ``delays``-row Hankel matrix of ``x``: a
+    read-only view of ``x.values``, not a copy. Requires an odd number of
+    delays (see ``center_index``)."""
+    return build_hankel(x, delays).matrix[center_index(delays)]
 
-    The centered matrix is a new array the size of the input. Requires an
-    odd number of delays (see ``center_index``).
+
+def center_hankel(embedding: HankelEmbedding) -> HankelEmbedding:
+    """Subtract the central row from every row, into a new array.
+
+    The result's central row is zero, so centering it again changes no
+    bit. Requires an odd number of delays (see ``center_index``).
     """
     check_instance(embedding, HankelEmbedding)
-    if embedding.centered:
-        raise ParameterError("embedding is already centered")
-    center = embedding.matrix[center_index(embedding.delays)].copy()
-    return HankelEmbedding(matrix=embedding.matrix - center, center_row=center)
+    m = embedding.matrix
+    return HankelEmbedding(matrix=m - m[center_index(embedding.delays)])
 
 
 def split_shift(embedding: HankelEmbedding):
     """Split into the (all-but-last, all-but-first) column submatrices.
 
-    The two halves cover the same windows shifted by one sample. A
-    centered parent gives centered halves, each with the stored center row
-    trimmed to match. The halves' matrices and center rows are read-only
-    column views of the parent, not copies.
+    The two halves cover the same windows shifted by one sample. Their
+    matrices are read-only column views of the parent, not copies.
     """
     check_instance(embedding, HankelEmbedding)
     if embedding.columns < 3:
         raise ParameterError(
             f"need at least 3 columns to split, got {embedding.columns}"
         )
-    center = embedding.center_row
-    first = HankelEmbedding(
-        matrix=_read_only(embedding.matrix[:, :-1]),
-        center_row=None if center is None else _read_only(center[:-1]),
-    )
-    second = HankelEmbedding(
-        matrix=_read_only(embedding.matrix[:, 1:]),
-        center_row=None if center is None else _read_only(center[1:]),
-    )
+    first = HankelEmbedding(matrix=_read_only(embedding.matrix[:, :-1]))
+    second = HankelEmbedding(matrix=_read_only(embedding.matrix[:, 1:]))
     return first, second
 
 

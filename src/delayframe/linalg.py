@@ -88,7 +88,7 @@ _FOLD = 16
 _CHUNK = 32
 
 # Rows of the long right basis that _ritz_pass rotates, and
-# _largest_residual sums, at a time.
+# _largest_residual and the fit's residual (models._assemble) sum, at a time.
 _BLOCK_ROWS = 4096
 
 # pseudo_inverse treats singular values below this fraction of sigma_1 as

@@ -37,12 +37,14 @@ from .embedding import (
     build_hankel,
     center_hankel,
     center_index,
+    center_row,
     split_shift,
 )
 from .errors import DegenerateRankError, ParameterError, check_instance, check_int
 from .geometry import central_difference
 from .linalg import (
-    Spectrum, SvdTriple, _scale, eigen_nonsymmetric, pseudo_inverse, thin_svd,
+    Spectrum, SvdTriple, _BLOCK_ROWS, _scale, eigen_nonsymmetric, pseudo_inverse,
+    thin_svd,
 )
 
 __all__ = [
@@ -57,9 +59,6 @@ __all__ = [
 # A requested dimension whose singular value falls below this fraction of
 # sigma_1 means the data cannot support the state space.
 _RANK_TOL = 1e-12
-
-# Rows of V per block of _assemble's residual.
-_ROWS = 4096
 
 # Transitions per block of reconstruct's rollout: A^1..A^L are formed once
 # per call, and each block is one row of the rollout's product.
@@ -239,14 +238,14 @@ def _assemble(ext_discrete, ext_continuous, svd, v1, v2, dt, t0, speed,
             raise DegenerateRankError(
                 "forcing direction has zero singular value"
             )
-    # The error of _ROWS windows at a time overwrites their prediction and
-    # is squared in place: the operations of np.linalg.norm(axis=0), with
-    # no temporary the length of V. The prediction is formed transposed,
+    # The error of _BLOCK_ROWS windows at a time overwrites their prediction
+    # and is squared in place: the operations of np.linalg.norm(axis=0),
+    # with no temporary the length of V. The prediction is formed transposed,
     # one column per window, because summing each window's few squares
     # along a row took three times as long.
     residual = 0.0
-    for start in range(0, v2.shape[0], _ROWS):
-        block = slice(start, start + _ROWS)
+    for start in range(0, v2.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         error = ext_discrete @ v1[block].T
         np.square(np.subtract(v2[block].T, error, out=error), out=error)
         residual = max(residual, float(np.max(np.sqrt(np.add.reduce(error, axis=0)))))
@@ -303,7 +302,7 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
     center = speed = None
     if config.centering:
         center = center_index(config.delays)
-        speed = _norm(central_difference(embedding.matrix[center], dt))
+        speed = _norm(central_difference(center_row(x, config.delays), dt))
     state_dim = config.state_dim
     if config.method == "havok":
         svd = _guarded_svd(embedding.matrix, config.rank, state_dim, center)

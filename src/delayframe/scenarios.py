@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics, models, preprocess, systems
-from .embedding import TimeSeries, build_hankel, center_index
+from .embedding import TimeSeries, center_row
 from .errors import DelayFrameError, ParameterError
 from .geometry import analytic_curvatures_gram, curvatures_from_model, derivative_stack
 
@@ -106,8 +106,7 @@ def _structure_row(x: TimeSeries, cfg: models.FitConfig, label: str) -> dict:
 
 def _curvature():
     series = systems.preset_series("two_tone")[0]
-    center_row = build_hankel(series, 41).matrix[center_index(41)]
-    d1, d2, d3, d4 = derivative_stack(center_row, series.dt, 4)
+    d1, d2, d3, d4 = derivative_stack(center_row(series, 41), series.dt, 4)
     analytic = analytic_curvatures_gram(d1, d2, d3, d4)
     rows = {"analytic": list(analytic)}
     for method in ("havok", "shavok"):
@@ -281,8 +280,7 @@ def _derivative_ratio():
             dt=dt, samples=samples,
         )
         series = systems.measure(systems.simulate(spec), "x")
-        center_row = build_hankel(series, delays).matrix[center_index(delays)]
-        d1, d2 = derivative_stack(center_row, dt, 2)
+        d1, d2 = derivative_stack(center_row(series, delays), dt, 2)
         ratio = 2.0 * float(np.linalg.norm(d2)) / float(np.linalg.norm(d1))
         payload["ratios"].append({"columns": columns, "ratio": ratio})
         lines.append(f"n = {columns}: ratio = {ratio:.4f}")

@@ -7,6 +7,8 @@ from delayframe.embedding import (
     TimeSeries,
     build_hankel,
     center_hankel,
+    center_index,
+    center_row,
     split_shift,
 )
 from delayframe.errors import DataError, ParameterError
@@ -87,12 +89,10 @@ def test_center_hankel_subtracts_central_row():
     original = emb.matrix.copy()
     centered = center_hankel(emb)
     mid = 2
-    np.testing.assert_array_equal(centered.center_row, original[mid])
     np.testing.assert_allclose(centered.matrix[mid], 0.0)
     np.testing.assert_allclose(
         centered.matrix, original - original[mid][None, :]
     )
-    assert centered.centered
 
 
 def test_center_hankel_requires_odd_delays():
@@ -103,11 +103,27 @@ def test_center_hankel_requires_odd_delays():
         center_hankel(emb)
 
 
-def test_center_hankel_rejects_double_centering():
-    x = _series(np.arange(12.0))
-    centered = center_hankel(build_hankel(x, 5))
-    with pytest.raises(ParameterError):
-        center_hankel(centered)
+def test_center_hankel_twice_is_once():
+    # The centered central row is exactly zero, so subtracting it again
+    # changes no bit.
+    x = _series(np.sin(0.7 * np.arange(40.0)) + 3.0)
+    once = center_hankel(build_hankel(x, 7))
+    twice = center_hankel(once)
+    assert twice.matrix.tobytes() == once.matrix.tobytes()
+
+
+def test_center_row_is_a_view_of_the_central_row():
+    x = _series(np.cos(0.3 * np.arange(25.0)))
+    for delays in (3, 5, 11):
+        row = center_row(x, delays)
+        np.testing.assert_array_equal(
+            row, build_hankel(x, delays).matrix[center_index(delays)]
+        )
+        assert np.shares_memory(row, x.values)
+        assert not row.flags.writeable
+    hint = "use an odd number of delays or turn centering off"
+    with pytest.raises(ParameterError, match=hint):
+        center_row(x, 6)
 
 
 def test_split_shift_columns():
@@ -119,14 +135,6 @@ def test_split_shift_columns():
     for half in (first, second):
         assert np.shares_memory(half.matrix, emb.matrix)
         assert not half.matrix.flags.writeable
-
-
-def test_split_shift_trims_center_row():
-    x = _series(np.sin(0.3 * np.arange(20.0)))
-    centered = center_hankel(build_hankel(x, 5))
-    first, second = split_shift(centered)
-    np.testing.assert_array_equal(first.center_row, centered.center_row[:-1])
-    np.testing.assert_array_equal(second.center_row, centered.center_row[1:])
 
 
 def test_split_shift_needs_three_columns():

@@ -333,7 +333,7 @@ def test_fit_does_not_depend_on_its_block_sizes(monkeypatch, method, forcing):
     x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + 1e-6 * np.sin(2.0 * t))
     cfg = FitConfig(delays=41, rank=4, method=method, forcing=forcing)
     base = fit(x, cfg)
-    monkeypatch.setattr(models, "_ROWS", 7)
+    monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(linalg, "_BLOCK_ROWS", 7)
     small = fit(x, cfg)
     assert small.residual == pytest.approx(base.residual, rel=1e-12)

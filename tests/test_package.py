@@ -62,6 +62,19 @@ def test_one_orthonormalization_and_one_exact_scaling():
     assert frexp == {("linalg", "_scale"), ("geometry", "analytic_curvatures_gram")}
 
 
+def test_one_reader_of_the_central_row():
+    # embedding.center_row is the package's one view of the Hankel
+    # matrix's central row. Only it, center_hankel (which subtracts the
+    # row) and models.fit (which passes its index to thin_svd) look the
+    # row's index up.
+    users = set()
+    for path in sorted(Path(delayframe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        users |= {(path.stem, owner) for owner, _ in _uses(tree, "center_index")}
+    assert users == {("embedding", "center_row"), ("embedding", "center_hankel"),
+                     ("models", "fit")}
+
+
 @pytest.mark.parametrize("demo", ["lorenz_forcing.py"])
 def test_demo_runs(demo):
     # A fresh interpreter with warnings as errors, importing the same
