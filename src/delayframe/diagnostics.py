@@ -101,10 +101,13 @@ def _tridiagonality(scaled, off_band):
 def spectrum_distance(a: Spectrum, b: Spectrum) -> SpectrumComparison:
     """Minimum-cost perfect matching between two equal-size spectra.
 
-    Pairs eigenvalues by the Hungarian algorithm on |w_i - w'_j| (greedy
-    pairing misattributes conjugate partners when spectra crowd the
-    imaginary axis) and reports per-pair distances, their mean, and each
-    spectrum's maximum real part as a stability indicator.
+    Pairs eigenvalues by an exact minimum-cost assignment on
+    |w_i - w'_j|: scipy's ``linear_sum_assignment``, a modified
+    Jonker-Volgenant shortest augmenting path solver (Crouse, IEEE Trans.
+    Aerosp. Electron. Syst. 52(4), 2016). Greedy pairing misattributes
+    conjugate partners when spectra crowd the imaginary axis. Reports
+    per-pair distances, their mean, and each spectrum's maximum real part
+    as a stability indicator.
     """
     wa = _eigenvalues_of(a, "a")
     wb = _eigenvalues_of(b, "b")

@@ -13,14 +13,18 @@ Each pass orthonormalizes its long product ``h.T @ u`` in place, by
 Gram-Schmidt applied twice (``_orthonormalize``), and rotates it into
 the right basis in place: that basis is the one factor that grows with
 the data, and a pass holds one copy of it.
-A Hankel window (``a[i, j] = x[i + j]``, recognized by its equal strides,
-such as a ``sliding_window_view``) is never formed: its three products
-come from the series, the Gram matrix by the displacement recurrence and
-the products with thin matrices as correlations (the structured SSA
-products of Korobeynikov, 2010), each taken as blocked matrix products
-on overlapping rows of the series, a few rows at a time. Given
-``center``, it factorizes ``a - a[center]`` without forming it either.
-Any other matrix takes the same products as plain matrix products.
+A wide Hankel window (``a[i, j] = x[i + j]`` with no more rows than
+columns, recognized by its equal strides, such as a
+``sliding_window_view``) is never formed: its three products come from
+the series, the Gram matrix by the displacement recurrence and the
+products with thin matrices as correlations (the structured SSA products
+of Korobeynikov, 2010), each taken as blocked matrix products on
+overlapping rows of the series, a few rows at a time. Given ``center``,
+it factorizes ``a - a[center]`` without forming it either. Any other
+matrix takes the same products as plain matrix products. That includes
+a window with more delays than columns: it is copied (fewer than
+delays**2 floats), centered in place by an exact row subtraction, and
+its short-side Gram matrix is one BLAS product.
 Squaring the matrix squares its condition number, so one pass is enough
 only when the rank-th Gram eigenvalue exceeds ``1e-12`` times the
 largest (sigma_rank / sigma_1 above about 1e-6). Below that floor the
@@ -148,8 +152,9 @@ def _check_finite(values, name):
 def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     """Rank-truncated SVD with a deterministic sign convention.
 
-    With ``center`` given, the matrix factorized is ``a - a[center]``: row
-    ``center`` subtracted from every row, without forming the result.
+    With ``center`` given, the matrix factorized is ``a - a[center]``, row
+    ``center`` subtracted from every row: in place in a matrix's working
+    copy, or inside the products of a wide window, which is never formed.
 
     The factors come from the short side's Gram matrix: with ``h`` the
     wide orientation of the (centered) matrix (``a`` itself, or ``a.T``
@@ -163,13 +168,14 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     the squared spectrum cannot resolve the trailing pairs, and the pass
     repeats from the new ``u`` until every pair has
     ``|h.T @ u_j - sigma_j v_j| <= eps * sigma_1 * sqrt(max(a.shape))``,
-    or eight passes have run. When ``a`` is a Hankel window (equal
-    strides), the products come from its series (``_window_products``)
-    and ``a`` is never formed; finiteness is then checked on the series'
-    samples. The matrix, or the series, is scaled by a power of two so its
-    largest magnitude lies in [0.5, 1): no product overflows, and the
-    singular values scale back exactly. They never exceed those of the
-    matrix.
+    or eight passes have run. When ``a`` is a wide Hankel window (equal
+    strides, no more rows than columns), the products come from its series
+    (``_window_products``) and ``a`` is never formed; finiteness is then
+    checked on the series' samples. A window with more rows than columns
+    is copied and factorized as a matrix, like any other. The copy, or the
+    series, is scaled by a power of two so its largest magnitude lies in
+    [0.5, 1): no product overflows, and the singular values scale back
+    exactly. They never exceed those of the matrix.
 
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
@@ -178,7 +184,7 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     """
     a = _as_2d(a, "matrix")
     tall = a.shape[0] > a.shape[1]
-    series = _window_series(a.T if tall else a)
+    series = None if tall else _window_series(a)
     _check_finite(a if series is None else series, "matrix")
     kmax = min(a.shape)
     check_int("rank", rank)
@@ -200,7 +206,7 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
         if series is None:
             products = _matrix_products(values, center, tall)
         else:
-            products = _window_products(values, kmax, center, tall)
+            products = _window_products(values, len(a), center)
         u, s, v = _gram_ritz_svd(*products, rank, max(a.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
@@ -369,49 +375,31 @@ def _window_series(h):
     """The series ``x`` of a Hankel window ``h[i, j] = x[i + j]``, else None.
 
     Equal strides make ``h`` such a window, whichever way it runs, sliced
-    or reversed. A one-row matrix takes the matrix products: centered, its
-    window of differences would have no rows.
+    or reversed; ``thin_svd`` asks only of a wide ``h``. A one-row matrix
+    takes the matrix products: centered, its window of differences would
+    have no rows.
     """
     if h.shape[0] < 2 or h.strides[0] != h.strides[1]:
         return None
     return np.concatenate([h[:, 0], h[-1, 1:]])
 
 
-def _window_products(x, rows, center, tall):
-    """``_gram_ritz_svd``'s products for the wide orientation ``h`` of a
-    Hankel window of the series ``x``, with ``rows`` rows, from ``x`` alone.
+def _window_products(x, rows, center):
+    """``_gram_ritz_svd``'s products for the wide Hankel window ``h`` of the
+    series ``x``, with ``rows`` rows, from ``x`` alone.
 
-    Uncentered, ``h`` is ``hankel(x)``. A wide window centered on row c is
+    Uncentered, ``h`` is ``hankel(x)``. Centered on row c, it is
     ``h = T @ hankel(diff(x))``, T the ±1 prefix-sum matrix running out
     from row c (``_spread``): no sample is subtracted from a distant one,
-    so an offset in ``x`` costs no accuracy. A tall window centered on its
-    row c has column c of ``h`` subtracted from every column; that
-    subtraction ignores a constant, so it is applied to ``hankel(x -
-    mean(x))`` as a rank-two correction of its Gram matrix.
+    so an offset in ``x`` costs no accuracy.
     """
     if center is None:
         return (_hankel_gram(x, rows), lambda q: _correlate(x, q),
                 lambda y: _correlate(x, y))
-    if not tall:
-        d = np.diff(x)
-        gram = _spread(_spread(_hankel_gram(d, rows - 1), center).T, center)
-        return (gram, lambda q: _correlate(d, _spread_adjoint(q, center)),
-                lambda y: _spread(_correlate(d, y), center))
-    z = x - np.mean(x)
-    cols = len(z) - rows + 1
-    col = z[center:center + rows]
-    sums = _correlate(z, np.ones((cols, 1)))[:, 0]
-    gram = (_hankel_gram(z, rows) - np.outer(col, sums) - np.outer(sums, col)
-            + cols * np.outer(col, col))
-
-    def h_t_times(q):
-        p = _correlate(z, q)
-        return p - p[center]
-
-    def h_times(y):
-        return _correlate(z, y) - np.outer(col, y.sum(axis=0))
-
-    return gram, h_t_times, h_times
+    d = np.diff(x)
+    gram = _spread(_spread(_hankel_gram(d, rows - 1), center).T, center)
+    return (gram, lambda q: _correlate(d, _spread_adjoint(q, center)),
+            lambda y: _spread(_correlate(d, y), center))
 
 
 def _correlate(x, b):

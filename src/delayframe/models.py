@@ -284,17 +284,19 @@ def fit(x: TimeSeries, config: FitConfig) -> DelayModel:
 
     One pipeline serves both methods: build the Hankel window, take the
     bases of it (centered on request), regress, orient the band. The
-    window is a view of the series, and ``thin_svd`` takes its products
+    window is a view of the series. When it has no more delays than
+    columns, as in the paper's regime, ``thin_svd`` takes its products
     with the (centered) window from the series itself, so neither the
-    Hankel matrix nor its centered copy is ever formed. The regression
-    maps the reduced coordinates of windows 1..n-1 (all rank columns of V)
-    to the state columns of windows 2..n; with forcing, the last column of
-    its solution is the forcing coupling. ``config.method`` picks only
-    where the two bases come from: ``havok`` reads one SVD's V at two
-    shifts, ``shavok`` takes one SVD of each shifted column half (ranks r
-    and state_dim), the second sign-aligned to the first. Either way the
-    regression reads the SVDs' own V through views; no copy of a basis
-    as long as the series is made.
+    Hankel matrix nor its centered copy is ever formed; a window with
+    more delays than columns is copied and factorized as a matrix. The
+    regression maps the reduced coordinates of windows 1..n-1 (all rank
+    columns of V) to the state columns of windows 2..n; with forcing, the
+    last column of its solution is the forcing coupling. ``config.method``
+    picks only where the two bases come from: ``havok`` reads one SVD's V
+    at two shifts, ``shavok`` takes one SVD of each shifted column half
+    (ranks r and state_dim), the second sign-aligned to the first. Either
+    way the regression reads the SVDs' own V through views; no copy of a
+    basis as long as the series is made.
     """
     _check_arguments(x, config)
     dt = x.dt

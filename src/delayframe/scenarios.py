@@ -96,11 +96,12 @@ def _structure_row(x: TimeSeries, cfg: models.FitConfig, label: str) -> dict:
         a = models.fit(x, cfg).a_continuous
     except DelayFrameError as exc:
         raise exc.__class__(f"sweep fit at {label} failed: {exc}") from exc
+    report = diagnostics.structure_report(a)
     return {
         "dt": x.dt,
         "columns": len(x) - cfg.delays + 1,
-        "antisymmetry": diagnostics.antisymmetry_score(a),
-        "tridiagonality": diagnostics.tridiagonality_score(a),
+        "antisymmetry": report.antisymmetry,
+        "tridiagonality": report.tridiagonality,
     }
 
 

@@ -138,9 +138,10 @@ def _three_tones(samples, offset):
                          ids=["wide", "tall"])
 def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
                                               samples):
-    # Hankel windows take their products from the series: both split
+    # Wide Hankel windows take their products from the series: both split
     # halves and the reversed window too, centered on each end and the
-    # middle. Offsets push the uncentered spectrum under the Gram floor
+    # middle. Tall ones (201 delays, 101 columns) are copied and factorized
+    # as matrices. Offsets push the uncentered spectrum under the Gram floor
     # (repeated passes) and test that centering loses nothing to them.
     # Rank 1 takes one pass, 2 repeated ones when uncentered with an
     # offset, 6 one pass when centered, 7 repeated ones.
@@ -152,6 +153,42 @@ def test_thin_svd_matches_dense_svd_on_windows(dense_svd, offset, delays,
         rows = a.shape[0]
         for center in (None, 0, rows // 2, rows - 1):
             _assert_matches_dense_svd(a, center, (1, 2, 6, 7), dense_svd)
+
+
+def test_thin_svd_takes_a_window_from_its_series_only_when_wide(monkeypatch):
+    # A window with no more delays than columns is never formed: its
+    # products come from the series, centered or not, split or reversed.
+    # A window with more delays than columns, and a one-row window, is a
+    # plain matrix: copied and factorized through _matrix_products.
+    shapes = []
+    products = linalg._matrix_products
+
+    def recording(h, center, tall):
+        shapes.append(h.shape)
+        return products(h, center, tall)
+
+    monkeypatch.setattr(linalg, "_matrix_products", recording)
+    series = _three_tones(301, 0.0)
+    emb = build_hankel(series, 41)
+    first, second = split_shift(emb)
+    square = build_hankel(_three_tones(81, 0.0), 41).matrix
+    wide = [emb.matrix, first.matrix, second.matrix, emb.matrix[::-1, ::-1],
+            square]
+    for a in wide:
+        rows = a.shape[0]
+        for center in (None, 0, rows // 2, rows - 1):
+            thin_svd(a, 3, center=center)
+    assert shapes == []
+    tall = [emb.matrix.T, build_hankel(series, 201).matrix]
+    for a in tall:
+        assert a.shape[0] > a.shape[1]
+        for center in (None, a.shape[0] // 2):
+            shapes.clear()
+            thin_svd(a, 3, center=center)
+            assert shapes == [a.shape], (a.shape, center)
+    shapes.clear()
+    thin_svd(emb.matrix[:1], 1)
+    assert shapes == [(1, emb.matrix.shape[1])]
 
 
 def _calls(monkeypatch, name):
@@ -200,7 +237,8 @@ def test_thin_svd_scales_away_gram_overflow(dense_svd):
     a = np.array([[1e200, 1.0, 2.0], [3.0, 4.0, 5.0]])
     np.testing.assert_allclose(thin_svd(a, 2).sigma, dense_svd(a, 2).sigma,
                                rtol=1e-12)
-    # A window of a series with one 1e200 sample: the series is scaled.
+    # A window of a series with one 1e200 sample: the wide window's series
+    # is scaled, and so is the copy of its tall transpose.
     values = np.arange(12.0)
     values[5] = 1e200
     window = build_hankel(TimeSeries(t0=0.0, dt=1.0, values=values), 3).matrix

@@ -194,6 +194,38 @@ def test_rank_guard_between_gram_floor_and_rank_tolerance(method, dense_svd,
             <= np.finfo(float).eps / ratio * np.linalg.norm(ref))
 
 
+@pytest.mark.parametrize("forcing", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("method", ["havok", "shavok"])
+def test_tall_window_fit_matches_dense_svd_fit(method, forcing, dense_svd,
+                                               monkeypatch):
+    # 301 samples with 201 delays leave 101 columns (100 per sHAVOK half):
+    # a window with more delays than columns, which thin_svd copies and
+    # factorizes as a matrix. The ramp gives the forced fit a fifth
+    # direction apart from the tone pairs. The fit agrees with the dense
+    # SVD's fit to the factorization's sensitivity eps * sigma_1 / sigma_r,
+    # norm-wise, on the discrete maps: the continuous ones divide the same
+    # error by dt.
+    dt = 0.03
+    t = dt * np.arange(301)
+    x = TimeSeries(t0=0.0, dt=dt,
+                   values=np.sin(t) + 1e-2 * np.sin(2.0 * t) + 1e-3 * t)
+    cfg = FitConfig(delays=201, rank=5 if forcing else 4, forcing=forcing,
+                    method=method)
+
+    def maps(model):
+        if model.b_discrete is None:
+            return model.a_discrete
+        return np.column_stack([model.a_discrete, model.b_discrete])
+
+    m = fit(x, cfg)
+    assert m.basis.u.shape[0] > m.basis.v.shape[0]
+    ratio = m.basis.sigma[-1] / m.basis.sigma[0]
+    monkeypatch.setattr(models, "thin_svd", dense_svd)
+    ref = maps(fit(x, cfg))
+    assert (np.linalg.norm(maps(m) - ref)
+            <= np.finfo(float).eps / ratio * np.linalg.norm(ref))
+
+
 @pytest.mark.parametrize("method, overtone", [
     pytest.param("havok", 1.0, id="havok"),
     pytest.param("shavok", 1.0, id="shavok"),
