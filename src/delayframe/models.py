@@ -40,7 +40,9 @@ from .embedding import (
     center_row,
     split_shift,
 )
-from .errors import DegenerateRankError, ParameterError, check_instance, check_int
+from .errors import (
+    DegenerateRankError, NumericalError, ParameterError, check_instance, check_int,
+)
 from .geometry import central_difference
 from .linalg import (
     Spectrum, SvdTriple, _BLOCK_ROWS, _scale, eigen_nonsymmetric, pseudo_inverse,
@@ -333,10 +335,14 @@ def log_mapped_spectrum(model: DelayModel) -> np.ndarray:
     """Eigenvalues of a_discrete mapped by omega = ln(lambda)/dt.
 
     Exact for a model that is itself a sampled linear flow, where
-    (lambda - 1)/dt carries an O(dt) bias.
+    (lambda - 1)/dt carries an O(dt) bias. An eigenvalue 0 has no
+    logarithm: it raises NumericalError.
     """
     check_instance(model, DelayModel)
     lam = eigen_nonsymmetric(model.a_discrete).eigenvalues
+    if np.any(lam == 0.0):
+        raise NumericalError("a_discrete has the eigenvalue 0, which has no "
+                             "logarithm")
     omega = np.log(lam.astype(complex)) / model.dt
     order = np.lexsort((omega.real, omega.imag))
     return omega[order]

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -150,6 +152,20 @@ def test_csv_names_the_file_line_of_a_bad_row(tmp_path_factory, values,
     _write(path, "\n".join(lines) + "\n")
     with pytest.raises(DataError, match=rf": line {at + 1} (has|is not numeric)"):
         load_series_csv(str(path))
+
+
+def test_csv_round_trip_keeps_the_bits_from_1e_300_to_1e300(tmp_path):
+    # Values only: dt reads back as the mean step (see format_series_csv).
+    rng = np.random.default_rng(300)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-300.0, 300.0, 20_000),
+        rng.integers(1, 2**52, 2_000).view(np.float64),  # subnormal
+        [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300],
+    ])
+    values *= rng.choice([-1.0, 1.0], len(values))
+    x = TimeSeries(t0=0.0, dt=0.5, values=values)
+    y = load_series_csv(_write(tmp_path / "x.csv", format_series_csv(x)))
+    assert y.values.tobytes() == x.values.tobytes()
 
 
 def test_csv_rejects_jitter_with_hint(tmp_path):
@@ -483,6 +499,72 @@ def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
         assert [c.count("\n") for c in chunks] == [2] + sizes, rows
 
 
+def _assert_cells_are_repr(values, width=5):
+    """The table of ``values``, ``width`` to a row after the time column
+    0, 1, 2, ..., is each cell's ``repr`` (the reference), row by row."""
+    cells = np.asarray(values, dtype=float)
+    cells = cells[:len(cells) // width * width].reshape(-1, width)
+    rows = "".join(cli._float_table("", 0.0, 1.0, [cells])).splitlines()
+    expected = [",".join(map(repr, [float(k)] + row))
+                for k, row in enumerate(cells.tolist())]
+    assert len(rows) == len(expected)
+    for k, (row, want) in enumerate(zip(rows, expected)):
+        assert row == want, cells[k].tolist()
+
+
+def test_cells_are_repr_on_every_class_of_float():
+    rng = np.random.default_rng(30)
+    powers_of_ten = np.array([float(f"1e{e}") for e in range(-8, 18)])
+    u = rng.uniform(-1.0, 1.0, 2_000) * 10.0 ** rng.integers(-7, 17, 2_000)
+    for values in (
+        # every class, nan and inf included; most are out of range
+        rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-6.5, 16.5, 100_000),
+        np.concatenate([powers_of_ten, np.nextafter(powers_of_ten, 0.0),
+                        np.nextafter(powers_of_ten, np.inf)]),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        np.concatenate([rng.integers(0, 2**53, 20_000), [2**53, 2**53 - 1]]),
+        # halfway between two 17-digit decimals, and between two 16-digit
+        (rng.integers(2 * 10**15, 4 * 10**15, 2_000) * 2 + 1) / 4.0,
+        rng.integers(6 * 10**14, 10**15, 2_000) + 0.25,
+        np.concatenate([np.round(u, k) for k in range(17)]),
+        rng.integers(1, 2**52, 5_000).view(np.float64),  # subnormal
+        [0.0, 1e-6, 1e16, 5e-324, 1.7976931348623157e308, np.inf, np.nan],
+    ):
+        values = np.asarray(values, dtype=float)
+        _assert_cells_are_repr(np.concatenate([values, -values]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=5, max_size=200))
+def test_cells_are_repr_on_any_floats(values):
+    _assert_cells_are_repr(values)
+
+
+def test_sweep_plotdata_cells_are_repr_and_few_need_it(monkeypatch):
+    # The benchmark's fit. The numpy search leaves few cells to repr (ties,
+    # edges of an interval, zeros, powers of two): about 20 of 144,200.
+    series = systems.preset_series("lorenz_sweep")[0]
+    model = models.fit(series, models.FitConfig(delays=401, rank=4,
+                                                method="shavok"))
+    v = model.basis.v
+    forcing = models.forcing_signal(model).values
+    rollout = models.reconstruct(model, v[0, :model.state_dim], len(v), forcing)
+    asked = []
+
+    def counted_repr(value):
+        asked.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+    rows = "".join(cli._plotdata_csv(model, {})).splitlines()[2:]
+    monkeypatch.undo()
+    table = np.column_stack([model.t0 + np.arange(len(v)) * model.dt, v,
+                             forcing, rollout[:, 0]])
+    assert rows == [",".join(map(repr, row)) for row in table.tolist()]
+    assert len(asked) < 1e-3 * table.size
+
+
 def _traced_peak(call):
     """``call()``'s result and the most memory it held at once beyond what
     was held when it started, in bytes, as ``tracemalloc`` counts it."""
@@ -808,6 +890,62 @@ def test_exit_codes(tmp_path, capsys):
     assert "error" in err
     # every failure above must leave no partial artifacts behind
     assert not (tmp_path / "o").exists()
+
+
+_FUZZ_CELLS = st.one_of(
+    st.floats(), st.sampled_from(["", "x", "1_0", " 1e5 ", "-inf", "0x1p3"]))
+
+
+@st.composite
+def _fuzz_csv(draw):
+    """Bytes that a CSV input could hold: any bytes, or a header and rows
+    of times and values, a few of them anything at all."""
+    if draw(st.sampled_from([False, False, False, True])):
+        return draw(st.binary(max_size=200))
+    t0, dt = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 10.0))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=draw(
+        st.sampled_from([40, 40, 40, 0, 1, 2])), max_size=150))
+    rows = [f"{t0 + k * dt!r},{v!r}" for k, v in enumerate(values)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = draw(st.one_of(st.text(max_size=10),
+                                 st.builds("{!r},{}".format, st.floats(),
+                                           _FUZZ_CELLS)))
+    return ("time,value\n" + "\n".join(rows) + "\n").encode()
+
+
+@st.composite
+def _fuzz_flags(draw):
+    flags = [draw(st.sampled_from(["fit", "spectrum", "diagnose"]))]
+    # Mostly a window that fits, so that the fit runs.
+    for name, usual, odd in (("--delays", [5, 11, 21], [-1, 0, 1, 2, 4, 200]),
+                             ("--rank", [2, 3, 4], [-1, 0, 1, 40])):
+        flags += [name, str(draw(st.sampled_from(usual * 4 + odd)))]
+    flags += ["--method", draw(st.sampled_from(["havok", "shavok"])),
+              "--derivative", draw(st.sampled_from(["forward", "central"]))]
+    flags += draw(st.lists(st.sampled_from(["--no-centering", "--no-forcing"]),
+                           unique=True))
+    if draw(st.sampled_from([False, False, False, True])):
+        flags += ["--dt-resample", draw(st.sampled_from(
+            ["0.05", "0.3", "1e-9", "0", "-1", "nan", "inf", "x"]))]
+    return flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_fuzz_csv(), flags=_fuzz_flags())
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(tmp_path_factory, data,
+                                                     flags):
+    path = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(flags + ["--input", str(path),
+                                 "--out-dir", str(path.parent / "o")])
+        except SystemExit as exc:  # argparse rejects a flag's value
+            code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_preset_lists_options(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from delayframe import diagnostics, linalg, models, systems
 from delayframe.embedding import TimeSeries
-from delayframe.errors import DegenerateRankError, ParameterError
+from delayframe.errors import DegenerateRankError, NumericalError, ParameterError
 from delayframe.linalg import SvdTriple, pseudo_inverse
 from delayframe.models import FitConfig, fit
 
@@ -341,6 +341,16 @@ def test_log_mapped_spectrum_matches_continuous(two_tone_models):
     mapped = models.log_mapped_spectrum(m)
     dist = diagnostics.spectrum_distance(mapped, m.spectrum.eigenvalues)
     assert dist.mean_distance < 2e-3
+
+
+def test_log_mapped_spectrum_of_a_zero_eigenvalue_is_an_error():
+    # One spike in zeros: the forced model's A is 0, whose logarithm is
+    # -inf (JSON has no such number).
+    spike = TimeSeries(t0=0.0, dt=1.0, values=np.eye(1, 40, 1)[0])
+    m = fit(spike, FitConfig(delays=5, rank=2))
+    assert np.all(m.a_discrete == 0.0)
+    with pytest.raises(NumericalError, match="eigenvalue 0"):
+        models.log_mapped_spectrum(m)
 
 
 def test_central_scheme_removes_damping_bias(two_tone):
