@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayframe
-from delayframe import cli, linalg, models, systems
+from delayframe import cli, csvio, linalg, models, systems
 from delayframe.cli import format_series_csv, load_series_csv, main
 from delayframe.embedding import TimeSeries
 from delayframe.errors import DataError, NumericalError
@@ -491,7 +491,7 @@ def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
     expected = _plotdata_one_shot(model, echo).encode()
     n = model.basis.v.shape[0]
     for rows in (1, 7, n - 1, n, n + 1):
-        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows)
+        monkeypatch.setattr(csvio, "_ROWS_PER_BLOCK", rows)
         chunks = list(cli._plotdata_csv(model, echo))
         assert "".join(chunks).encode() == expected, rows
         # The head (config line and header), then one chunk per block.
@@ -556,7 +556,7 @@ def test_sweep_plotdata_cells_are_repr_and_few_need_it(monkeypatch):
         asked.append(value)
         return repr(value)
 
-    monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+    monkeypatch.setattr(csvio, "repr", counted_repr, raising=False)
     rows = "".join(cli._plotdata_csv(model, {})).splitlines()[2:]
     monkeypatch.undo()
     table = np.column_stack([model.t0 + np.arange(len(v)) * model.dt, v,
