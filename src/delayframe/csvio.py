@@ -23,8 +23,8 @@ from .errors import DataError
 __all__ = ["format_series_csv", "load_series_csv"]
 
 
-# Rows of a CSV table formatted at a time; a block's floats and text, and
-# the work buffers of _repr_cells, are the only objects the table adds
+# Rows of a CSV table in each chunk; a block's text, one call's floats and
+# the work buffers of _repr_cells are the only objects the table adds
 # while it is written.
 _ROWS_PER_BLOCK = 4096
 
@@ -216,30 +216,44 @@ def _float_table(head: str, t0: float, dt: float, columns):
     array in ``columns`` (1-D or 2-D, all of the same length). Each cell
     is the text of ``repr`` of its float, the shortest decimal that reads
     back to the same bits. numpy finds the digits and lays out the text
-    for ``_CELLS_PER_CALL`` cells at a time (``_repr_cells``); ``repr``
-    itself formats only the few cells the exact search leaves open.
+    for whole rows of up to ``_CELLS_PER_CALL`` cells at a time
+    (``_repr_cells``), across the ends of blocks, so the number of calls
+    does not depend on the block size; ``repr`` itself formats only the
+    few cells the exact search leaves open.
 
-    Rows come in blocks of ``_ROWS_PER_BLOCK``, each one str, so no
-    per-row list or string is made; a caller that writes each block and
-    drops it holds one block at a time, whatever the row count.
+    Rows come in blocks of ``_ROWS_PER_BLOCK``, each one str cut from the
+    calls' text at the block's last row, so no per-row list or string is
+    made; a caller that writes each block and drops it holds one block at
+    a time, whatever the row count.
     """
     yield head
     n = len(columns[0])
     width = 1 + sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
-    step = max(1, _CELLS_PER_CALL // width) * width
-    last = np.arange(step) % width == width - 1
+    rows = max(1, _CELLS_PER_CALL // width)
+    last = np.arange(rows * width) % width == width - 1
     tails = np.where(last, ord("\n"), ord(",")) << 32
-    canvas = np.empty((step, 7), "<i8")
-    mask = np.empty((step, 56), bool)
-    for start in range(0, n, _ROWS_PER_BLOCK):
-        stop = min(start + _ROWS_PER_BLOCK, n)
+    canvas = np.empty((rows * width, 7), "<i8")
+    mask = np.empty((rows * width, 56), bool)
+    block, end = [], min(_ROWS_PER_BLOCK, n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         cells = np.column_stack(
             [t0 + np.arange(start, stop) * dt] + [c[start:stop] for c in columns]
         ).ravel()
-        yield "".join([
-            _repr_cells(cells[i:i + step], tails, canvas, mask).decode("ascii")
-            for i in range(0, len(cells), step)
-        ])
+        text = _repr_cells(cells, tails, canvas, mask)
+        if end <= stop:
+            # The byte after each row: only a row's last cell ends in "\n".
+            row_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1
+        at = 0
+        while end <= stop:
+            cut = row_ends[end - start - 1]
+            block.append(text[at:cut].decode("ascii"))
+            yield "".join(block)
+            if end == n:
+                return
+            block, at = [], cut
+            end = min(end + _ROWS_PER_BLOCK, n)
+        block.append(text[at:].decode("ascii"))
 
 
 def _series_table(x: TimeSeries):

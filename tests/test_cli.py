@@ -499,6 +499,31 @@ def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
         assert [c.count("\n") for c in chunks] == [2] + sizes, rows
 
 
+def test_kernel_calls_do_not_depend_on_the_block_size(monkeypatch):
+    # The shape of the benchmark's sweep fit plotdata.csv: 20,600 rows of
+    # time, v1..v4, forcing and recon_v1. Whole rows of up to 4,096 cells
+    # per call are 585 rows, so 36 calls, whatever the block size.
+    table = np.random.default_rng(31).standard_normal((20_600, 6))
+    calls = []
+
+    def counted(x, *buffers):
+        calls.append(len(x))
+        return kernel(x, *buffers)
+
+    kernel = csvio._repr_cells
+    monkeypatch.setattr(csvio, "_repr_cells", counted)
+    expected = "".join(csvio._float_table("", 0.0, 0.01, [table]))
+    assert len(calls) == 36 and max(calls) == 585 * 7
+    for rows in (1, 7, 585, 4096, 20_600, 20_601):
+        calls.clear()
+        monkeypatch.setattr(csvio, "_ROWS_PER_BLOCK", rows)
+        chunks = list(csvio._float_table("", 0.0, 0.01, [table]))
+        assert len(calls) == 36, rows
+        assert "".join(chunks) == expected, rows
+        sizes = [min(rows, 20_600 - start) for start in range(0, 20_600, rows)]
+        assert [c.count("\n") for c in chunks] == [0] + sizes, rows
+
+
 def _assert_cells_are_repr(values, width=5):
     """The table of ``values``, ``width`` to a row after the time column
     0, 1, 2, ..., is each cell's ``repr`` (the reference), row by row."""
