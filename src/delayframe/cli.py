@@ -166,7 +166,12 @@ def _plotdata_csv(model: models.DelayModel, echo: dict):
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` as JSON text; a non-finite number, which JSON cannot
+    hold, is a NumericalError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"a result is not finite: {exc}") from exc
 
 
 def _json_artifact(payload):

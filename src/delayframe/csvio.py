@@ -364,6 +364,14 @@ def load_series_csv(path: str) -> TimeSeries:
     is built; only a rejected file is read a second time, to name its
     first bad line.
     """
+    return _uniform_series(path, _read_table(path))
+
+
+def _read_table(path: str):
+    """The ``(rows, 2)`` float table of the ``time,value`` CSV at ``path``:
+    its header, skip rule and cell syntax (``load_series_csv``). Any value
+    parses, ``nan`` and ``inf`` too; a file that breaks a rule is
+    rejected with its first bad line (``_reject``)."""
     table = reason = None
     with _open_csv(path) as fh:
         # Skip blank and whitespace-only lines and comments ("#" after any
@@ -382,6 +390,14 @@ def load_series_csv(path: str) -> TimeSeries:
                 reason = exc
     if table is None or table.shape[1] != 2 or len(table) < 2:
         _reject(path, reason)
+    return table
+
+
+def _uniform_series(path: str, table) -> TimeSeries:
+    """The uniform TimeSeries of a ``(rows, 2)`` time, value ``table`` read
+    from ``path``: finite, strictly increasing and evenly spaced times,
+    finite values, and the mean step as ``dt`` (``load_series_csv``). A
+    table that breaks a rule is a DataError that names ``path``."""
     times = table[:, 0]
     # Contiguous, like every other series: a strided view could take other
     # BLAS kernels and move the fit's last bits.
@@ -401,4 +417,6 @@ def load_series_csv(path: str) -> TimeSeries:
             f"{spread / dt:.2e} > {bound / dt:.2e}); "
             "resample onto a uniform grid first (--dt-resample)"
         )
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: value column has non-finite entries")
     return TimeSeries(t0=float(times[0]), dt=dt, values=values)

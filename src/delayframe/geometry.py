@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DataError, DegenerateInputError, ParameterError, check_int, check_positive,
+    DataError, DegenerateInputError, NumericalError, ParameterError, check_int,
+    check_positive,
 )
 from .linalg import _project_twice, _scale, as_matrix
 
@@ -333,10 +334,17 @@ def curvatures_from_model(a_continuous, speed: float) -> ModelCurvatures:
 
     K = a_continuous / speed has the curvatures on its first
     superdiagonal; the subdiagonal carries their negation only
-    approximately, so the superdiagonal alone is the estimate.
+    approximately, so the superdiagonal alone is the estimate. A K that
+    overflows float64 (a speed far below the generator's entries) raises
+    NumericalError.
     """
     a = as_matrix(a_continuous, name="a_continuous")
     if a.shape[0] != a.shape[1]:
         raise ParameterError(f"matrix must be square, got shape {a.shape}")
     check_positive("speed", speed)
-    return ModelCurvatures(k_matrix=a / float(speed))
+    with np.errstate(over="ignore"):
+        k = a / float(speed)
+    if not np.all(np.isfinite(k)):
+        raise NumericalError(
+            f"a_continuous / speed overflows float64 (speed {float(speed):.3e})")
+    return ModelCurvatures(k_matrix=k)

@@ -175,7 +175,9 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
     is copied and factorized as a matrix, like any other. The copy, or the
     series, is scaled by a power of two so its largest magnitude lies in
     [0.5, 1): no product overflows, and the singular values scale back
-    exactly. They never exceed those of the matrix.
+    exactly. They never exceed those of the matrix. A matrix with entries
+    near float64's largest can have a singular value beyond it, which
+    raises NumericalError.
 
     Each singular pair is flipped so the largest-magnitude entry of its
     left vector is positive. This pins the decomposition itself, not just
@@ -217,7 +219,13 @@ def thin_svd(a, rank: int, center: int | None = None) -> SvdTriple:
         if u[k, j] < 0.0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
-    return SvdTriple(u=u, sigma=np.ldexp(s, exponent), v=v)
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(s, exponent)
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalError(
+            f"the largest singular value, {s[0]:.6g} * 2**{exponent}, "
+            "overflows float64")
+    return SvdTriple(u=u, sigma=sigma, v=v)
 
 
 def _gram_ritz_svd(gram, h_t_times, h_times, rank, length):

@@ -222,6 +222,17 @@ def test_csv_rejects_non_finite_time(tmp_path, capsys, bad):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_csv_non_finite_value_names_the_file(tmp_path, capsys):
+    path = _write(tmp_path / "x.csv", "time,value\n0,1\n1,2\n2,nan\n")
+    message = f"{path}: value column has non-finite entries"
+    with pytest.raises(DataError) as err:
+        load_series_csv(path)
+    assert str(err.value) == message
+    code = main(["diagnose", "--input", path, "--delays", "2", "--rank", "2",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
 def test_simulate_writes_closed_form(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--input", "two_tone", "--out-dir", str(out)]) == 0
@@ -971,6 +982,43 @@ def test_cli_fuzz_exits_with_a_code_and_no_traceback(tmp_path_factory, data,
             code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _tiny_two_tone_csv():
+    k = np.arange(400)
+    values = 1e-310 * (np.sin(0.05 * k) + np.sin(0.11 * k))
+    return "time,value\n" + "".join(
+        f"{0.01 * i!r},{v!r}\n" for i, v in zip(k.tolist(), values.tolist()))
+
+
+@pytest.mark.parametrize("text, flags", [
+    # The singular values overflow when scaled back.
+    ("time,value\n0,1e308\n1,-1e308\n2,1e308\n3,-1e308\n4,1e308\n"
+     "5,-1e308\n6,1\n7,2\n", ["--delays", "3", "--rank", "2"]),
+    # A subnormal speed: the curvature matrix a_continuous / speed overflows.
+    (_tiny_two_tone_csv(), ["--delays", "21", "--rank", "4", "--no-forcing"]),
+], ids=["singular-values", "curvatures"])
+def test_overflow_is_a_numerical_error_not_infinity(tmp_path, capsys, recwarn,
+                                                    text, flags):
+    path = _write(tmp_path / "x.csv", text)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "model.json").write_text("old")
+    code = main(["fit", "--input", path, "--out-dir", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err
+    assert [str(w.message) for w in recwarn] == []
+    assert os.listdir(out) == ["model.json"]
+    assert (out / "model.json").read_text() == "old"
+
+
+def test_json_artifacts_refuse_non_finite_numbers():
+    assert cli._dump_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NumericalError, match="not finite"):
+            cli._dump_json({"x": [1.0, bad]})
 
 
 def test_unknown_preset_lists_options(tmp_path, capsys):

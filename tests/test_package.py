@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import os
 import pkgutil
 import re
@@ -127,3 +128,45 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Falsifying example" in done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+def _trace_targets(monkeypatch):
+    """The benchmark tracer's TARGETS, imported from perfbench/spans.py
+    without writing its bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    return importlib.import_module("spans").TARGETS
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    # The tracer wraps each target at the name its caller looks it up by;
+    # a target that no longer resolves stops a traced benchmark run.
+    missing = []
+    for name, _layer, _counter in _trace_targets(monkeypatch):
+        module_name, _, attr = name.rpartition(".")
+        if not callable(getattr(importlib.import_module(module_name), attr, None)):
+            missing.append(name)
+    assert missing == []
+
+
+def test_fit_on_a_csv_reads_it_through_the_traced_name(monkeypatch, tmp_path):
+    # The tracer times CSV reading as delayframe.cli.load_series_csv, so a
+    # fit must look the reader up there, or its traced time reads 0.
+    from delayframe import cli, csvio
+
+    assert "delayframe.cli.load_series_csv" in [
+        name for name, _, _ in _trace_targets(monkeypatch)]
+    path = tmp_path / "x.csv"
+    path.write_text("time,value\n" + "".join(
+        f"{0.01 * k!r},{math.sin(0.1 * k)!r}\n" for k in range(200)))
+    read = []
+
+    def spy(name):
+        read.append(name)
+        return csvio.load_series_csv(name)
+
+    monkeypatch.setattr(cli, "load_series_csv", spy)
+    assert cli.main(["fit", "--input", str(path), "--delays", "11", "--rank", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert read == [str(path)]
