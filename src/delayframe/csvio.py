@@ -243,7 +243,7 @@ def _float_table(head: str, t0: float, dt: float, columns):
         text = _repr_cells(cells, tails, canvas, mask)
         if end <= stop:
             # The byte after each row: only a row's last cell ends in "\n".
-            row_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1
+            row_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
         at = 0
         while end <= stop:
             cut = row_ends[end - start - 1]

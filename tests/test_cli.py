@@ -233,6 +233,7 @@ def test_csv_non_finite_value_names_the_file(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"
 
+
 def test_simulate_writes_closed_form(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--input", "two_tone", "--out-dir", str(out)]) == 0

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import delayframe
+from delayframe import cli, csvio
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -153,8 +154,6 @@ def test_every_trace_target_resolves(monkeypatch):
 def test_fit_on_a_csv_reads_it_through_the_traced_name(monkeypatch, tmp_path):
     # The tracer times CSV reading as delayframe.cli.load_series_csv, so a
     # fit must look the reader up there, or its traced time reads 0.
-    from delayframe import cli, csvio
-
     assert "delayframe.cli.load_series_csv" in [
         name for name, _, _ in _trace_targets(monkeypatch)]
     path = tmp_path / "x.csv"
