@@ -145,7 +145,8 @@ def _plotdata_csv(model: models.DelayModel, echo: dict):
     rolled forward from the first row.
 
     The forcing and the rollout are computed when the first chunk is
-    asked for; the rows then come one ``_float_table`` block at a time.
+    asked for; the rows then come one ``_float_table`` chunk, the text of
+    one kernel call, at a time.
     """
     v = model.basis.v
     p = model.state_dim
@@ -391,7 +392,7 @@ def _run(args) -> int:
                 f"simulate needs a preset name, got {args.input!r}; "
                 f"available: {', '.join(systems.preset_names())}"
             )
-        series, _ = _resolve_input(args.input, args.observable)
+        series, _ = systems.preset_series(args.input, args.observable)
         _write_artifacts(args.out_dir, {"series.csv": _series_table(series)})
         return 0
     if args.command in _COMMAND_ARTIFACTS:

@@ -3,8 +3,8 @@
 Every CSV cell the package writes is Python's ``repr`` text of its float,
 the shortest decimal that reads back to the same bits. ``_repr_cells``
 finds those digits exactly with numpy and lays out the text of a few
-thousand cells per call; ``_float_table`` streams a table of them a block
-of rows at a time. It writes ``plotdata.csv`` and ``series.csv``.
+thousand cells per call; ``_float_table`` streams a table of them, one
+call's text per chunk. It writes ``plotdata.csv`` and ``series.csv``.
 ``load_series_csv`` reads a ``time,value`` CSV back into a uniform
 ``TimeSeries``. ``cli`` imports all four by name.
 """
@@ -23,14 +23,10 @@ from .errors import DataError
 __all__ = ["format_series_csv", "load_series_csv"]
 
 
-# Rows of a CSV table in each chunk; a block's text, one call's floats and
-# the work buffers of _repr_cells are the only objects the table adds
-# while it is written.
-_ROWS_PER_BLOCK = 4096
-
-# Cells per call of _repr_cells: enough to spread numpy's cost per call,
-# few enough that its buffers and temporaries, about 220 bytes a cell,
-# stay below what one %r format of a plotdata.csv block held.
+# Cells per call of _repr_cells, and so the size of each chunk of a
+# table: enough to spread numpy's cost per call, about 180 µs, few enough
+# that its buffers and temporaries, about 220 bytes a cell, stay near
+# 1 MB while a table of any length is written.
 _CELLS_PER_CALL = 4096
 
 # The shortest round-trip digits (Steele & White, PLDI 1990), found
@@ -217,14 +213,12 @@ def _float_table(head: str, t0: float, dt: float, columns):
     is the text of ``repr`` of its float, the shortest decimal that reads
     back to the same bits. numpy finds the digits and lays out the text
     for whole rows of up to ``_CELLS_PER_CALL`` cells at a time
-    (``_repr_cells``), across the ends of blocks, so the number of calls
-    does not depend on the block size; ``repr`` itself formats only the
-    few cells the exact search leaves open.
+    (``_repr_cells``); ``repr`` itself formats only the few cells the
+    exact search leaves open.
 
-    Rows come in blocks of ``_ROWS_PER_BLOCK``, each one str cut from the
-    calls' text at the block's last row, so no per-row list or string is
-    made; a caller that writes each block and drops it holds one block at
-    a time, whatever the row count.
+    Each chunk after ``head`` is the text of one such call, so no per-row
+    list or string is made; a caller that writes each chunk and drops it
+    holds one call's text at a time, whatever the row count.
     """
     yield head
     n = len(columns[0])
@@ -234,26 +228,12 @@ def _float_table(head: str, t0: float, dt: float, columns):
     tails = np.where(last, ord("\n"), ord(",")) << 32
     canvas = np.empty((rows * width, 7), "<i8")
     mask = np.empty((rows * width, 56), bool)
-    block, end = [], min(_ROWS_PER_BLOCK, n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         cells = np.column_stack(
             [t0 + np.arange(start, stop) * dt] + [c[start:stop] for c in columns]
         ).ravel()
-        text = _repr_cells(cells, tails, canvas, mask)
-        if end <= stop:
-            # The byte after each row: only a row's last cell ends in "\n".
-            row_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
-        at = 0
-        while end <= stop:
-            cut = row_ends[end - start - 1]
-            block.append(text[at:cut].decode("ascii"))
-            yield "".join(block)
-            if end == n:
-                return
-            block, at = [], cut
-            end = min(end + _ROWS_PER_BLOCK, n)
-        block.append(text[at:].decode("ascii"))
+        yield _repr_cells(cells, tails, canvas, mask).decode("ascii")
 
 
 def _series_table(x: TimeSeries):
@@ -265,7 +245,7 @@ def format_series_csv(x: TimeSeries) -> str:
     """The series as a ``time,value`` CSV.
 
     Each cell is the shortest decimal that reads back to its float, the
-    text ``repr`` gives it: numpy formats the cells a block at a time,
+    text ``repr`` gives it: numpy formats a few thousand cells at a time,
     with ``repr`` as the fallback (``_float_table``). So the values read
     back to the same bits. The time column is ``t0 + k *
     dt``, so ``t0`` reads back equal in value (a ``-0.0`` becomes ``0.0``)

@@ -370,8 +370,9 @@ def preset(name: str) -> SystemSpec:
 def preset_series(name: str, observable: str | None = None):
     """Simulate a preset and measure it: returns (TimeSeries, observable).
 
-    ``observable`` defaults to the preset kind's default observable.
+    ``observable`` None is the preset kind's default observable; any other
+    value, ``""`` too, must name one of the kind's observables.
     """
     spec = preset(name)
-    obs = observable or default_observable(spec.kind)
+    obs = default_observable(spec.kind) if observable is None else observable
     return measure(simulate(spec), obs), obs

@@ -493,28 +493,31 @@ def _plotdata_one_shot(model, echo):
 
 
 @pytest.mark.parametrize("rank, forcing", [(4, False), (5, True)])
-def test_plotdata_blocks_join_to_the_one_shot_table(monkeypatch, two_tone,
+def test_plotdata_chunks_join_to_the_one_shot_table(monkeypatch, two_tone,
                                                     rank, forcing):
-    # Any block size, down to one row and past the row count, gives the
-    # bytes of the table formatted in one piece.
+    # Calls of whole rows, from a few hundred rows to past the row count,
+    # give the bytes of the table formatted in one piece.
     model = models.fit(two_tone, models.FitConfig(
         delays=41, rank=rank, forcing=forcing))
     echo = {"input": "two_tone", "forcing": forcing}
     expected = _plotdata_one_shot(model, echo).encode()
     n = model.basis.v.shape[0]
-    for rows in (1, 7, n - 1, n, n + 1):
-        monkeypatch.setattr(csvio, "_ROWS_PER_BLOCK", rows)
+    width = rank + 2 + forcing
+    for cells in (csvio._CELLS_PER_CALL, 997 * width, n * width - 1,
+                  n * width, (n + 1) * width):
+        monkeypatch.setattr(csvio, "_CELLS_PER_CALL", cells)
         chunks = list(cli._plotdata_csv(model, echo))
-        assert "".join(chunks).encode() == expected, rows
-        # The head (config line and header), then one chunk per block.
+        assert "".join(chunks).encode() == expected, cells
+        # The head (config line and header), then one chunk per call.
+        rows = cells // width
         sizes = [min(rows, n - start) for start in range(0, n, rows)]
-        assert [c.count("\n") for c in chunks] == [2] + sizes, rows
+        assert [c.count("\n") for c in chunks] == [2] + sizes, cells
 
 
-def test_kernel_calls_do_not_depend_on_the_block_size(monkeypatch):
+def test_each_chunk_is_one_kernel_call(monkeypatch):
     # The shape of the benchmark's sweep fit plotdata.csv: 20,600 rows of
     # time, v1..v4, forcing and recon_v1. Whole rows of up to 4,096 cells
-    # per call are 585 rows, so 36 calls, whatever the block size.
+    # per call are 585 rows, so 36 calls and a chunk for each.
     table = np.random.default_rng(31).standard_normal((20_600, 6))
     calls = []
 
@@ -524,16 +527,24 @@ def test_kernel_calls_do_not_depend_on_the_block_size(monkeypatch):
 
     kernel = csvio._repr_cells
     monkeypatch.setattr(csvio, "_repr_cells", counted)
-    expected = "".join(csvio._float_table("", 0.0, 0.01, [table]))
+    chunks = list(csvio._float_table("", 0.0, 0.01, [table]))
     assert len(calls) == 36 and max(calls) == 585 * 7
-    for rows in (1, 7, 585, 4096, 20_600, 20_601):
+    assert [c.count("\n") for c in chunks] == [0] + [585] * 35 + [125]
+    assert all(c.endswith("\n") for c in chunks[1:])
+    # A call takes one row at least, and only whole rows: a short table,
+    # against its cells formatted one at a time.
+    short = table[:40]
+    expected = "".join(",".join(map(repr, [0.01 * k] + row)) + "\n"
+                       for k, row in enumerate(short.tolist()))
+    for cells in (1, 6, 7, 8, 20, 279, 280, 281):
         calls.clear()
-        monkeypatch.setattr(csvio, "_ROWS_PER_BLOCK", rows)
-        chunks = list(csvio._float_table("", 0.0, 0.01, [table]))
-        assert len(calls) == 36, rows
-        assert "".join(chunks) == expected, rows
-        sizes = [min(rows, 20_600 - start) for start in range(0, 20_600, rows)]
-        assert [c.count("\n") for c in chunks] == [0] + sizes, rows
+        monkeypatch.setattr(csvio, "_CELLS_PER_CALL", cells)
+        chunks = list(csvio._float_table("", 0.0, 0.01, [short]))
+        rows = max(1, cells // 7)
+        assert calls == [7 * min(rows, 40 - start)
+                         for start in range(0, 40, rows)], cells
+        assert len(chunks) == 1 + len(calls), cells
+        assert "".join(chunks) == expected, cells
 
 
 def _assert_cells_are_repr(values, width=5):
@@ -620,9 +631,10 @@ def _traced_peak(call):
 @pytest.mark.parametrize("samples", [30_000, 90_000])
 def test_plotdata_stream_peak_does_not_grow_with_its_rows(samples):
     # A reader that writes each chunk and drops it holds the forcing and
-    # the rollout, which the table needs whole, and one block's floats and
-    # text. The table joined into one str, about 160 bytes a row, took
-    # 9.4 MB more than the rollout at 30,000 rows and 28.9 MB at 90,000.
+    # the rollout, which the table needs whole, and one kernel call's
+    # floats, buffers and text. The table joined into one str, about 160
+    # bytes a row, took 9.4 MB more than the rollout at 30,000 rows and
+    # 28.9 MB at 90,000.
     t = 0.01 * np.arange(samples)
     x = TimeSeries(t0=0.0, dt=0.01, values=np.sin(t) + np.sin(2.0 * t))
     model = models.fit(x, models.FitConfig(delays=41, rank=5))
@@ -965,19 +977,27 @@ def _fuzz_flags(draw):
     if draw(st.sampled_from([False, False, False, True])):
         flags += ["--dt-resample", draw(st.sampled_from(
             ["0.05", "0.3", "1e-9", "0", "-1", "nan", "inf", "x"]))]
+    # "x" is Lorenz's observable and "sin_theta2" the pendulum's; any of
+    # them is an error for a CSV.
+    observable = draw(st.sampled_from(
+        [None] * 4 + ["", "x", "sin_theta2", "bogus"]))
+    if observable is not None:
+        flags += ["--observable", observable]
     return flags
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=_fuzz_csv(), flags=_fuzz_flags())
+@given(data=_fuzz_csv(), flags=_fuzz_flags(), preset=st.sampled_from(
+    [None, None, None, "lorenz_short", "pendulum_short"]))
 def test_cli_fuzz_exits_with_a_code_and_no_traceback(tmp_path_factory, data,
-                                                     flags):
+                                                     flags, preset):
+    # The input is the CSV ``data``, or a preset when one is drawn.
     path = tmp_path_factory.mktemp("fuzz") / "x.csv"
     path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            code = main(flags + ["--input", str(path),
+            code = main(flags + ["--input", preset or str(path),
                                  "--out-dir", str(path.parent / "o")])
         except SystemExit as exc:  # argparse rejects a flag's value
             code = exc.code
@@ -1037,6 +1057,21 @@ def test_observable_flag(tmp_path):
     assert code == 0
     echo = json.loads((out / "report.json").read_text())["config"]
     assert echo["observable"] == "sin_theta2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--input", "pendulum_short"],
+    ["fit", "--input", "pendulum_short", "--delays", "41", "--rank", "4",
+     "--no-forcing"],
+], ids=["simulate", "fit"])
+def test_empty_observable_is_not_the_default(tmp_path, capsys, argv):
+    # Only a missing --observable means the default.
+    out = tmp_path / "o"
+    assert main(argv + ["--observable", "", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "observable '' is not valid" in err
+    assert "sin_theta1" in err and "sin_theta2" in err
+    assert not out.exists()
 
 
 def test_observable_rejected_for_csv(tmp_path):

@@ -279,5 +279,7 @@ def test_preset_series_measures_the_default_observable():
     )
     series, obs = preset_series("pendulum_short", "sin_theta2")
     assert obs == "sin_theta2"
-    with pytest.raises(ParameterError, match="observable"):
-        preset_series("lorenz_short", "sin_theta1")
+    # Only None means the default; any other name must be valid.
+    for bad in ("", "sin_theta1"):
+        with pytest.raises(ParameterError, match="observable"):
+            preset_series("lorenz_short", bad)
